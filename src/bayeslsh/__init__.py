@@ -37,12 +37,9 @@ from .hashing import (
     CosineHashFamily,
     MinhashFamily,
     SignatureStore,
-    build_signature_store,
     cosine_signature,
-    count_matches,
     decode_gaussian_2byte,
     encode_gaussian_2byte,
-    extend_signatures,
     minhash_signature,
     read_signatures,
     write_signatures,
@@ -56,7 +53,6 @@ from .inference import (
     UNIFORM_PRIOR,
     build_minmatch_table,
     c2r,
-    concentration_lookup,
     cosine_concentration_prob,
     cosine_map,
     cosine_prune_prob,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -127,8 +126,9 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fresh-verification-hashes", action="store_true",
                         help="verify with hashes independent of the banding ones")
-    parser.add_argument("--parallel", type=int, default=os.cpu_count() or 1,
-                        help="verification worker count (default: available cores)")
+    parser.add_argument("--parallel", type=int, default=1,
+                        help="kept for compatibility: verification runs batch-synchronously"
+                        " in one thread and the value never changes output")
     parser.add_argument("--tfidf", action="store_true",
                         help="tf-idf reweight a cosine-weighted corpus before searching")
 

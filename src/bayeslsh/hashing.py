@@ -181,7 +181,7 @@ class SignatureStore:
     def extend(self, target: int) -> None:
         """Grow every object's signature to at least `target` hashes.
 
-        Safe to call from several verifier threads: extension runs under a
+        Safe to call from several threads: extension runs under a
         lock, and `hashes_available` is bumped only after the new columns
         are fully written.
         """
@@ -228,13 +228,7 @@ class SignatureStore:
                 self._ints[:, start + k] = np.minimum.reduceat(h, self._starts).astype(np.uint32)
 
     def count_matches(self, i: int, j: int, lo: int, hi: int) -> int:
-        if not 0 <= lo <= hi <= self.hashes_available:
-            raise ValueError(
-                f"hash range [{lo}, {hi}) not available (have {self.hashes_available})"
-            )
-        if self.measure == "jaccard":
-            return int(np.count_nonzero(self._ints[i, lo:hi] == self._ints[j, lo:hi]))
-        return _count_bit_matches(self._words[i], self._words[j], lo, hi)
+        return int(self.count_matches_bulk(np.array([[i, j]]), lo, hi)[0])
 
     def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Match counts over [lo, hi) for an (M, 2) array of index pairs."""
@@ -246,8 +240,13 @@ class SignatureStore:
         if self.measure == "jaccard":
             eq = self._ints[left, lo:hi] == self._ints[right, lo:hi]
             return np.count_nonzero(eq, axis=1).astype(np.int64)
-        xor = self._words[left] ^ self._words[right]
-        _mask_word_range(xor, lo, hi)
+        # gather only the words covering [lo, hi), then clear the edge bits
+        w_lo, w_hi = lo // 64, -(-hi // 64)
+        xor = self._words[left, w_lo:w_hi] ^ self._words[right, w_lo:w_hi]
+        if lo % 64:
+            xor[:, 0] &= np.uint64((1 << 64) - (1 << (lo % 64)))
+        if hi % 64:
+            xor[:, -1] &= np.uint64((1 << (hi % 64)) - 1)
         return (hi - lo) - np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
 
     def band_values(self, lo: int, hi: int) -> np.ndarray:
@@ -260,39 +259,6 @@ class SignatureStore:
         words = self._words[:, idx // 64]
         bits = (words >> (idx % 64).astype(np.uint64)) & np.uint64(1)
         return bits.astype(np.uint64)
-
-
-def _mask_word_range(xor: np.ndarray, lo: int, hi: int) -> None:
-    """Zero XOR bits outside [lo, hi) in place; xor covers whole rows."""
-    w_lo, w_hi = lo // 64, -(-hi // 64)
-    xor[:, :w_lo] = 0
-    xor[:, w_hi:] = 0
-    if lo % 64:
-        xor[:, w_lo] &= np.uint64((1 << 64) - (1 << (lo % 64)))
-    if hi % 64:
-        xor[:, w_hi - 1] &= np.uint64((1 << (hi % 64)) - 1)
-
-
-def _count_bit_matches(row_i: np.ndarray, row_j: np.ndarray, lo: int, hi: int) -> int:
-    w_lo, w_hi = lo // 64, -(-hi // 64)
-    xor = row_i[w_lo:w_hi] ^ row_j[w_lo:w_hi]
-    if lo % 64:
-        xor[0] &= np.uint64((1 << 64) - (1 << (lo % 64)))
-    if hi % 64:
-        xor[-1] &= np.uint64((1 << (hi % 64)) - 1)
-    return (hi - lo) - int(np.bitwise_count(xor).sum())
-
-
-def build_signature_store(corpus: Corpus, seed: int, max_hashes: int | None = None) -> SignatureStore:
-    return SignatureStore(corpus, seed, max_hashes)
-
-
-def extend_signatures(store: SignatureStore, target: int) -> None:
-    store.extend(target)
-
-
-def count_matches(store: SignatureStore, i: int, j: int, lo: int, hi: int) -> int:
-    return store.count_matches(i, j, lo, hi)
 
 
 def write_signatures(store: SignatureStore, path) -> None:

@@ -84,11 +84,6 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(log_bt) * _betacf(b, a, 1.0 - x) / b
 
 
-def inc_beta(x: float, a: float, b: float) -> float:
-    """Unregularized incomplete beta B_x(a, b); underflows for huge shapes."""
-    return reg_inc_beta(x, a, b) * math.exp(betaln(a, b))
-
-
 def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     """log I_x(a, b), stable when the tail underflows a plain float."""
     if a <= 0 or b <= 0:
@@ -448,12 +443,6 @@ class ConcentrationCache:
 
     def __len__(self) -> int:
         return len(self._cache)
-
-
-def concentration_lookup(
-    cache: ConcentrationCache, m: int, n: int
-) -> tuple[bool, float]:
-    return cache.lookup(m, n)
 
 
 # --- prior-shape demonstration grids ----------------------------------------

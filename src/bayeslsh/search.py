@@ -9,15 +9,15 @@ Verification strategies over a candidate list:
 * ``lsh-approx``: maximum-likelihood estimates from a fixed hash count.
 * ``exact``: exact similarity for every candidate.
 
-All verifiers are parallel maps over the candidate list; output is sorted
-by index pair and is independent of the worker count.
+The Bayesian verifiers step every live candidate of a chunk through the
+batch boundaries together, in one thread; output is sorted by index pair.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,10 +38,17 @@ _MEASURE_DEFAULTS = {
 
 _PRIOR_SAMPLE_CAP = 10_000
 
+# candidate pairs verified together; bounds the per-batch working arrays
+_CHUNK = 1 << 16
+
 
 @dataclass
 class SearchConfig:
-    """Knobs for one search run; None fields resolve to per-measure defaults."""
+    """Knobs for one search run; None fields resolve to per-measure defaults.
+
+    `parallel` is kept for compatibility: verification runs
+    batch-synchronously in one thread, and the value never changes output.
+    """
 
     measure: str
     threshold: float
@@ -115,6 +122,20 @@ class SearchStats:
     prior: inference.BetaParams | None = None
 
 
+class Verdicts(NamedTuple):
+    """Per-pair verification outcome, one entry per candidate pair.
+
+    `pruned_at` is the hash count at which a pair was pruned, 0 if it
+    survived; survivors carry their posterior estimate, and those still
+    unconcentrated when the budget ran out are flagged `low_confidence`.
+    """
+
+    pruned_at: np.ndarray
+    hashes_used: np.ndarray
+    estimate: np.ndarray
+    low_confidence: np.ndarray
+
+
 class BayesVerifier:
     """Shared state for verifying candidate pairs against one store."""
 
@@ -129,25 +150,64 @@ class BayesVerifier:
         )
         self.cache = inference.ConcentrationCache(posterior, config.delta, config.gamma)
 
-    def verify_pair(self, i: int, j: int, trace: list | None = None) -> PairVerdict:
-        """Algorithm: compare one batch at a time, prune or stop early."""
+    def _lookup(self, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(concentrated?, estimate) for each count, one lookup per distinct m."""
+        distinct, inverse = np.unique(m, return_inverse=True)
+        looked = [self.cache.lookup(int(d), n) for d in distinct]
+        concentrated = np.array([c for c, _ in looked], dtype=bool)
+        estimate = np.array([e for _, e in looked], dtype=np.float64)
+        return concentrated[inverse], estimate[inverse]
+
+    def verify(self, pairs: np.ndarray) -> Verdicts:
+        """Algorithm: compare one batch at a time, prune or stop early.
+
+        Both decisions depend only on (m, n), so every live pair of a chunk
+        steps through the batch boundaries together.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         k = self.config.batch_hashes
-        m = 0
-        n = 0
-        while n < self.budget:
-            n += k
-            self.store.extend(n)
-            m += self.store.count_matches(i, j, n - k, n)
-            min_m = self.table.min_matches(n)
-            if trace is not None:
-                trace.append((m, n, min_m))
-            if m < min_m:
-                return PairVerdict(pruned=True, hashes_used=n, pruned_at=n)
-            concentrated, estimate = self.cache.lookup(m, n)
-            if concentrated:
-                return PairVerdict(False, estimate, n)
-        _, estimate = self.cache.lookup(m, self.budget)
-        return PairVerdict(False, estimate, self.budget, low_confidence=True)
+        v = Verdicts(
+            np.zeros(len(pairs), dtype=np.int64),
+            np.zeros(len(pairs), dtype=np.int64),
+            np.zeros(len(pairs), dtype=np.float64),
+            np.zeros(len(pairs), dtype=bool),
+        )
+        for lo in range(0, len(pairs), _CHUNK):
+            live = np.arange(lo, min(lo + _CHUNK, len(pairs)))
+            m = np.zeros(len(live), dtype=np.int64)
+            for n in range(k, self.budget + 1, k):
+                if len(live) == 0:
+                    break
+                self.store.extend(n)
+                m += self.store.count_matches_bulk(pairs[live], n - k, n)
+                pruned = m < self.table.min_matches(n)
+                v.pruned_at[live[pruned]] = n
+                v.hashes_used[live] = n
+                live, m = live[~pruned], m[~pruned]
+                concentrated, estimate = self._lookup(m, n)
+                v.estimate[live[concentrated]] = estimate[concentrated]
+                live, m = live[~concentrated], m[~concentrated]
+            v.estimate[live] = self._lookup(m, self.budget)[1]
+            v.low_confidence[live] = True
+        return v
+
+    def verify_pair(self, i: int, j: int, trace: list | None = None) -> PairVerdict:
+        """One pair through `verify`; `trace` receives (m, n, min_m) per batch."""
+        v = self.verify(np.array([[i, j]]))
+        used = int(v.hashes_used[0])
+        if trace is not None:
+            trace.extend(
+                (self.store.count_matches(i, j, 0, n), n, self.table.min_matches(n))
+                for n in range(self.config.batch_hashes, used + 1, self.config.batch_hashes)
+            )
+        pruned_at = int(v.pruned_at[0])
+        return PairVerdict(
+            pruned=pruned_at > 0,
+            estimate=float(v.estimate[0]),
+            hashes_used=used,
+            low_confidence=bool(v.low_confidence[0]),
+            pruned_at=pruned_at,
+        )
 
 
 def fit_candidate_prior(
@@ -165,20 +225,66 @@ def fit_candidate_prior(
     return inference.fit_beta_mom(sims)
 
 
-def _parallel_map(func, items, workers: int):
-    if workers <= 1 or len(items) < 2:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (workers * 8))))
-
-
-def _survivor_counts(prune_ns: list[int], total: int, k: int, budget: int) -> dict[int, int]:
+def _survivor_counts(prune_ns, total: int, k: int, budget: int) -> dict[int, int]:
     """Candidates still alive after each batch boundary (stopped pairs stay)."""
-    pruned_hist = np.zeros(budget // k + 1, dtype=np.int64)
-    for n in prune_ns:
-        pruned_hist[n // k] += 1
+    pruned_hist = np.bincount(
+        np.asarray(prune_ns, dtype=np.int64) // k, minlength=budget // k + 1
+    )
     cumulative = np.cumsum(pruned_hist)
     return {batch * k: int(total - cumulative[batch]) for batch in range(1, budget // k + 1)}
+
+
+def _emit(corpus: Corpus, pairs: np.ndarray, keep: np.ndarray, config: SearchConfig,
+          estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> list:
+    """Output pairs for the kept candidates, sorted by index pair.
+
+    With no `estimate`, kept pairs are verified exactly and emitted only
+    strictly above the threshold.
+    """
+    out = []
+    for idx in np.flatnonzero(keep):
+        i, j = int(pairs[idx, 0]), int(pairs[idx, 1])
+        if estimate is None:
+            sim = corpus_mod.exact_similarity(corpus, i, j)
+            if sim > config.threshold:
+                out.append(OutputPair(i, j, sim, True))
+        else:
+            low = low_confidence is not None and bool(low_confidence[idx])
+            out.append(OutputPair(i, j, float(estimate[idx]), False, low))
+    out.sort(key=lambda o: (o.i, o.j))
+    return out
+
+
+def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
+                store: SignatureStore | None, prior: inference.BetaParams | None,
+                budget: int, exact: bool, collect_stats: bool):
+    """Prune on up to `budget` hashes, then emit posterior or exact estimates.
+
+    An exact run with a zero budget hashes nothing and verifies every
+    candidate exactly.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    verdicts = None
+    if budget or not exact:
+        if config.measure == "jaccard" and prior is None:
+            prior = fit_candidate_prior(corpus, pairs, config.seed)
+        if store is None:
+            store = SignatureStore(corpus, config.seed, config.max_hashes)
+        posterior = inference.posterior_for_measure(config.measure, prior)
+        verdicts = BayesVerifier(store, posterior, config, budget).verify(pairs)
+    keep = np.ones(len(pairs), dtype=bool) if verdicts is None else verdicts.pruned_at == 0
+    if exact:
+        out = _emit(corpus, pairs, keep, config, None)
+    else:
+        out = _emit(corpus, pairs, keep, config, verdicts.estimate, verdicts.low_confidence)
+    if not collect_stats:
+        return out
+    stats = SearchStats(candidates=len(pairs), emitted=len(out), prior=prior)
+    if verdicts is not None:
+        stats.survivors = _survivor_counts(
+            verdicts.pruned_at[~keep], len(pairs), config.batch_hashes, budget
+        )
+    return out, stats
 
 
 def bayeslsh_run(
@@ -190,33 +296,7 @@ def bayeslsh_run(
     collect_stats: bool = False,
 ):
     """Verify candidates with posterior pruning and early-stopped estimates."""
-    if store is None:
-        store = SignatureStore(corpus, config.seed, config.max_hashes)
-    if config.measure == "jaccard" and prior is None:
-        prior = fit_candidate_prior(corpus, pairs, config.seed)
-    posterior = inference.posterior_for_measure(config.measure, prior)
-    verifier = BayesVerifier(store, posterior, config)
-    if len(pairs):
-        store.extend(min(config.batch_hashes, config.max_hashes))
-
-    def work(pair) -> PairVerdict:
-        return verifier.verify_pair(int(pair[0]), int(pair[1]))
-
-    verdicts = _parallel_map(work, list(pairs), config.parallel)
-    out = [
-        OutputPair(int(p[0]), int(p[1]), v.estimate, False, v.low_confidence)
-        for p, v in zip(pairs, verdicts)
-        if not v.pruned
-    ]
-    out.sort(key=lambda o: (o.i, o.j))
-    if not collect_stats:
-        return out
-    stats = SearchStats(candidates=len(pairs), emitted=len(out), prior=prior)
-    prune_ns = [v.pruned_at for v in verdicts if v.pruned]
-    stats.survivors = _survivor_counts(
-        prune_ns, len(pairs), config.batch_hashes, config.max_hashes
-    )
-    return out, stats
+    return _verify_run(corpus, pairs, config, store, prior, config.max_hashes, False, collect_stats)
 
 
 def bayeslsh_lite_run(
@@ -233,40 +313,7 @@ def bayeslsh_lite_run(
     Emitted pairs carry their exact similarity and must clear the threshold
     strictly.
     """
-    if config.measure == "jaccard" and prior is None and config.lite_hashes > 0:
-        prior = fit_candidate_prior(corpus, pairs, config.seed)
-    survivors: list[tuple[int, int]]
-    prune_ns: list[int] = []
-    if config.lite_hashes == 0:
-        survivors = [(int(p[0]), int(p[1])) for p in pairs]
-    else:
-        if store is None:
-            store = SignatureStore(corpus, config.seed, config.max_hashes)
-        posterior = inference.posterior_for_measure(config.measure, prior)
-        verifier = BayesVerifier(store, posterior, config, budget=config.lite_hashes)
-
-        def work(pair) -> PairVerdict:
-            return verifier.verify_pair(int(pair[0]), int(pair[1]))
-
-        verdicts = _parallel_map(work, list(pairs), config.parallel)
-        survivors = [
-            (int(p[0]), int(p[1])) for p, v in zip(pairs, verdicts) if not v.pruned
-        ]
-        prune_ns = [v.pruned_at for v in verdicts if v.pruned]
-    out = []
-    for i, j in survivors:
-        sim = corpus_mod.exact_similarity(corpus, i, j)
-        if sim > config.threshold:
-            out.append(OutputPair(i, j, sim, True))
-    out.sort(key=lambda o: (o.i, o.j))
-    if not collect_stats:
-        return out
-    stats = SearchStats(candidates=len(pairs), emitted=len(out), prior=prior)
-    if config.lite_hashes:
-        stats.survivors = _survivor_counts(
-            prune_ns, len(pairs), config.batch_hashes, config.lite_hashes
-        )
-    return out, stats
+    return _verify_run(corpus, pairs, config, store, prior, config.lite_hashes, True, collect_stats)
 
 
 def lsh_approx_run(
@@ -277,25 +324,19 @@ def lsh_approx_run(
     collect_stats: bool = False,
 ):
     """Fixed-hash-count maximum-likelihood estimates, no pruning."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if store is None:
         store = SignatureStore(corpus, config.seed, config.max_hashes)
     n = config.fixed_hashes
     store.extend(n)
-    out = []
-    chunk = 1 << 16
-    for lo in range(0, len(pairs), chunk):
-        block = np.asarray(pairs[lo : lo + chunk])
-        if len(block) == 0:
-            continue
-        counts = store.count_matches_bulk(block, 0, n)
-        for (i, j), m in zip(block, counts):
-            if config.measure == "cosine":
-                est = inference.cosine_map(int(m), n)
-            else:
-                est = inference.ml_estimate(int(m), n)
-            if est >= config.threshold:
-                out.append(OutputPair(int(i), int(j), est, False))
-    out.sort(key=lambda o: (o.i, o.j))
+    estimate_of = inference.cosine_map if config.measure == "cosine" else inference.ml_estimate
+    estimate = np.zeros(len(pairs), dtype=np.float64)
+    for lo in range(0, len(pairs), _CHUNK):
+        counts = store.count_matches_bulk(pairs[lo : lo + _CHUNK], 0, n)
+        distinct, inverse = np.unique(counts, return_inverse=True)
+        looked = np.array([estimate_of(int(m), n) for m in distinct], dtype=np.float64)
+        estimate[lo : lo + len(counts)] = looked[inverse]
+    out = _emit(corpus, pairs, estimate >= config.threshold, config, estimate)
     if not collect_stats:
         return out
     return out, SearchStats(candidates=len(pairs), emitted=len(out))
@@ -308,15 +349,7 @@ def exact_run(
     collect_stats: bool = False,
 ):
     """Exact similarity for every candidate; emit strictly above threshold."""
-    out = []
-    for i, j in pairs:
-        sim = corpus_mod.exact_similarity(corpus, int(i), int(j))
-        if sim > config.threshold:
-            out.append(OutputPair(int(i), int(j), sim, True))
-    out.sort(key=lambda o: (o.i, o.j))
-    if not collect_stats:
-        return out
-    return out, SearchStats(candidates=len(pairs), emitted=len(out))
+    return _verify_run(corpus, pairs, config, None, None, 0, True, collect_stats)
 
 
 def generate_candidates(

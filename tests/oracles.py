@@ -177,3 +177,26 @@ def count_matches_loop(store, i: int, j: int, lo: int, hi: int) -> int:
     """Per-hash match count straight off band_values, one column at a time."""
     values = store.band_values(lo, hi)
     return int(sum(1 for k in range(hi - lo) if values[i, k] == values[j, k]))
+
+
+def verify_pair_loop(verifier, i: int, j: int) -> tuple[int, int, float, bool]:
+    """One pair through the batch loop, one scalar match count per batch.
+
+    Returns (pruned_at, hashes_used, estimate, low_confidence) in the
+    convention of the package's batch verifier: pruned_at is 0 for a pair
+    that survived, and a pruned pair's estimate is 0.0.
+    """
+    k = verifier.config.batch_hashes
+    m = 0
+    n = 0
+    while n < verifier.budget:
+        n += k
+        verifier.store.extend(n)
+        m += verifier.store.count_matches(i, j, n - k, n)
+        if m < verifier.table.min_matches(n):
+            return n, n, 0.0, False
+        concentrated, estimate = verifier.cache.lookup(m, n)
+        if concentrated:
+            return 0, n, estimate, False
+    _, estimate = verifier.cache.lookup(m, verifier.budget)
+    return 0, verifier.budget, estimate, True

@@ -179,7 +179,7 @@ class TestSignatureStore:
         pairs = np.array([(i, j) for i in range(6) for j in range(i + 1, 6)])
         for lo, hi in [(0, 256), (32, 96), (5, 250)]:
             bulk = store.count_matches_bulk(pairs, lo, hi)
-            scalar = [store.count_matches(int(i), int(j), lo, hi) for i, j in pairs]
+            scalar = [count_matches_loop(store, int(i), int(j), lo, hi) for i, j in pairs]
             np.testing.assert_array_equal(bulk, scalar)
 
     def test_count_matches_requires_extension(self):

@@ -12,7 +12,6 @@ from bayeslsh.inference import (
     ConcentrationCache,
     build_minmatch_table,
     c2r,
-    concentration_lookup,
     cosine_concentration_prob,
     cosine_map,
     cosine_prune_prob,
@@ -391,7 +390,6 @@ class TestConcentrationCache:
             assert conc == (post.concentration_prob(m, n, fresh_est, 0.05) >= 0.97)
             assert cache.lookup(m, n) == (conc, est)
         assert len(cache) == 3
-        assert concentration_lookup(cache, 10, 32) == cache.lookup(10, 32)
 
     def test_concurrent_lookups_idempotent(self):
         post = posterior_for_measure("jaccard")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import CorpusBundle
 
-from bayeslsh import inference
+from bayeslsh import inference, search
 from bayeslsh.corpus import (
     COSINE_WEIGHTED,
     JACCARD,
@@ -31,7 +31,7 @@ from bayeslsh.search import (
     results_to_tsv,
     run_search,
 )
-from oracles import min_matches_linear
+from oracles import min_matches_linear, verify_pair_loop
 
 
 def _cosine_pair_corpus(sim: float) -> Corpus:
@@ -154,6 +154,37 @@ class TestBayesVerifier:
         assert verdict.low_confidence
         assert verdict.hashes_used == 32
         assert verdict.estimate == 1.0
+
+
+class TestBatchVerifier:
+    @pytest.mark.parametrize("measure", ["cosine", "jaccard"])
+    @pytest.mark.parametrize("budget", ["max_hashes", "lite_hashes"])
+    def test_batch_core_equals_per_pair_loop(self, small_cosine, small_jaccard,
+                                             monkeypatch, measure, budget):
+        bundle = small_cosine if measure == "cosine" else small_jaccard
+        # a small chunk puts chunk boundaries between pairs that stop at
+        # different batches
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        rng = np.random.default_rng(5)
+        n = len(bundle.corpus)
+        planted = np.array(sorted(bundle.truth(0.5)), dtype=np.int64)
+        pairs = np.concatenate([planted, rng.integers(0, n, size=(200, 2))])
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        rng.shuffle(pairs)
+        cfg = SearchConfig(measure, 0.5, batch_hashes=16, seed=bundle.seed)
+        store = SignatureStore(bundle.corpus, bundle.seed, cfg.max_hashes)
+        prior = inference.BetaParams(2.0, 5.0) if measure == "jaccard" else None
+        posterior = inference.posterior_for_measure(measure, prior)
+        verifier = BayesVerifier(store, posterior, cfg, budget=getattr(cfg, budget))
+        got = verifier.verify(pairs)
+        want = [verify_pair_loop(verifier, int(i), int(j)) for i, j in pairs]
+        assert got.pruned_at.tolist() == [w[0] for w in want]
+        assert got.hashes_used.tolist() == [w[1] for w in want]
+        assert got.estimate.tolist() == [w[2] for w in want]
+        assert got.low_confidence.tolist() == [w[3] for w in want]
+        # pairs leave at several batches, some pruned and some kept
+        assert len(set(got.hashes_used.tolist())) >= 2
+        assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
 
 
 class TestRunners:
