@@ -24,6 +24,7 @@ from .corpus import (
     Corpus,
     SparseVector,
     cosine_exact,
+    exact_similarities,
     exact_similarity,
     generate_synthetic,
     jaccard_exact,

@@ -45,6 +45,7 @@ class EvalReport:
     threshold: float
     seed: int
     candidates: int
+    exact_computed: int
     truth_pairs: int
     emitted: int
     true_positives: int
@@ -89,6 +90,7 @@ def evaluate_run(corpus: Corpus, result: search.SearchResult) -> EvalReport:
         threshold=cfg.threshold,
         seed=cfg.seed,
         candidates=result.stats.candidates,
+        exact_computed=result.stats.exact_computed,
         truth_pairs=len(truth),
         emitted=len(emitted),
         true_positives=tp,

@@ -35,6 +35,10 @@ _NORM_CHECK_TOL = 1e-6
 # generate_synthetic refuses corpora whose brute-force truth would be huge.
 _PAIR_GUARD = 10**8
 
+# pairs of one i-group scored together by exact_similarities; bounds the
+# gathered j entries to about this many vectors
+_EXACT_SLICE = 4096
+
 
 def is_cosine_mode(mode: str) -> bool:
     return mode in (COSINE_WEIGHTED, COSINE_BINARY)
@@ -89,6 +93,8 @@ class Corpus:
     vectors: list[SparseVector]
     mode: str
     dim: int | None = None
+    _flat: tuple | None = field(default=None, repr=False, compare=False)
+    _failing: np.ndarray | None = field(default=None, repr=False, compare=False)
     _csr: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,21 +123,31 @@ class Corpus:
     def __getitem__(self, i: int) -> SparseVector:
         return self.vectors[i]
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, features, weights): the vectors concatenated CSR-style; cached.
+
+        Vector i owns entries indptr[i]:indptr[i + 1] of the other two.
+        """
+        if self._flat is None:
+            indptr = np.zeros(len(self) + 1, dtype=np.int64)
+            sizes = np.fromiter((len(v) for v in self.vectors), dtype=np.int64, count=len(self))
+            np.cumsum(sizes, out=indptr[1:])
+            if len(self.vectors) > 0:
+                features = np.concatenate([v.features for v in self.vectors])
+                weights = np.concatenate([v.weights for v in self.vectors])
+            else:
+                features = np.zeros(0, dtype=np.int64)
+                weights = np.zeros(0, dtype=np.float64)
+            self._flat = (indptr, features, weights)
+        return self._flat
+
     def to_csr(self):
-        """Corpus as a scipy CSR matrix of shape (len, dim); cached."""
+        """Corpus as a scipy CSR matrix of shape (len, dim) over `flat()`; cached."""
         if self._csr is None:
             from scipy.sparse import csr_matrix
 
-            indptr = np.zeros(len(self) + 1, dtype=np.int64)
-            for i, v in enumerate(self.vectors):
-                indptr[i + 1] = indptr[i] + len(v)
-            if len(self.vectors) > 0:
-                indices = np.concatenate([v.features for v in self.vectors])
-                data = np.concatenate([v.weights for v in self.vectors])
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0, dtype=np.float64)
-            self._csr = csr_matrix((data, indices, indptr), shape=(len(self), self.dim))
+            indptr, features, weights = self.flat()
+            self._csr = csr_matrix((weights, features, indptr), shape=(len(self), self.dim))
         return self._csr
 
 
@@ -292,10 +308,78 @@ def jaccard_exact(x: SparseVector, y: SparseVector) -> float:
     return inter / union
 
 
-def exact_similarity(corpus: Corpus, i: int, j: int) -> float:
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the entries of `rows`, and the index into `rows` owning each."""
+    starts = indptr[rows]
+    sizes = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(len(rows)), sizes)
+    pos = np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return pos, owner
+
+
+def _check_rows(corpus: Corpus, rows: np.ndarray) -> None:
+    """The vector checks of cosine_exact and jaccard_exact, for `rows` only.
+
+    Every vector is checked once per corpus, on the first call; later calls
+    look the verdicts up.
+    """
+    if corpus._failing is None:
+        indptr, _, weights = corpus.flat()
+        sizes = np.diff(indptr)
+        owner = np.repeat(np.arange(len(corpus)), sizes)
+        if is_cosine_mode(corpus.mode):
+            norm = np.sqrt(np.bincount(owner, weights=weights**2, minlength=len(corpus)))
+            corpus._failing = (sizes > 0) & (np.abs(norm - 1.0) > _NORM_CHECK_TOL)
+        else:
+            corpus._failing = np.bincount(owner, weights=weights != 1.0, minlength=len(corpus)) > 0
+    failing = rows[corpus._failing[rows]]
+    if len(failing) == 0:
+        return
     if is_cosine_mode(corpus.mode):
-        return cosine_exact(corpus[i], corpus[j])
-    return jaccard_exact(corpus[i], corpus[j])
+        raise ValueError(f"vector norm {corpus[int(failing[0])].norm():.9f} deviates from 1")
+    raise ValueError("jaccard similarity requires unit weights")
+
+
+def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
+    """Exact similarity of every (i, j) row of `pairs`, in input order.
+
+    Pairs are grouped by i. Vector i is scattered into one dense array,
+    the j vectors of each slice of its group are gathered from `flat()`,
+    and their products are summed per pair, so working memory is bounded
+    by one slice. Cosine sums are clamped to [0, 1] as in `cosine_exact`;
+    jaccard sums are intersection sizes, as in `jaccard_exact`.
+    """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    sims = np.zeros(len(pairs), dtype=np.float64)
+    if len(pairs) == 0:
+        return sims
+    if pairs.min() < 0 or pairs.max() >= len(corpus):
+        raise IndexError(f"pair index out of range for {len(corpus)} vectors")
+    _check_rows(corpus, pairs.ravel())
+    indptr, features, weights = corpus.flat()
+    order = np.argsort(pairs[:, 0], kind="stable")
+    left, right = pairs[order, 0], pairs[order, 1]
+    bounds = [0, *(np.flatnonzero(left[1:] != left[:-1]) + 1).tolist(), len(pairs)]
+    dense = np.zeros(corpus.dim, dtype=np.float64)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        own = slice(indptr[left[start]], indptr[left[start] + 1])
+        dense[features[own]] = weights[own]
+        for lo in range(start, stop, _EXACT_SLICE):
+            hi = min(lo + _EXACT_SLICE, stop)
+            pos, owner = _entries(indptr, right[lo:hi])
+            sims[order[lo:hi]] = np.bincount(
+                owner, weights=dense[features[pos]] * weights[pos], minlength=hi - lo
+            )
+        dense[features[own]] = 0.0
+    if is_cosine_mode(corpus.mode):
+        return np.clip(sims, 0.0, 1.0, out=sims)
+    sizes = np.diff(indptr)
+    union = sizes[pairs[:, 0]] + sizes[pairs[:, 1]] - sims
+    return np.divide(sims, union, out=np.zeros_like(sims), where=union > 0)
+
+
+def exact_similarity(corpus: Corpus, i: int, j: int) -> float:
+    return float(exact_similarities(corpus, [[i, j]])[0])
 
 
 def similarity_matrix(corpus: Corpus) -> np.ndarray:

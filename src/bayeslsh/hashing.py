@@ -168,15 +168,11 @@ class SignatureStore:
             self.max_hashes = DEFAULT_MAX_INTS if max_hashes is None else int(max_hashes)
             self.family = MinhashFamily(seed, max(1, corpus.dim))
             self._ints = np.zeros((self.n_objects, self.max_hashes + 63), dtype=np.uint32)
-            lengths = np.array([len(v) for v in corpus.vectors], dtype=np.int64)
-            if np.any(lengths == 0):
+            indptr, features, _ = corpus.flat()
+            if np.any(np.diff(indptr) == 0):
                 raise ValueError("minhash of an empty set is undefined")
-            self._elems = self.family.prepare(
-                np.concatenate([v.features for v in corpus.vectors])
-                if self.n_objects
-                else np.zeros(0, dtype=np.int64)
-            )
-            self._starts = np.concatenate([[0], np.cumsum(lengths)])[:-1]
+            self._elems = self.family.prepare(features)
+            self._starts = indptr[:-1]
 
     def extend(self, target: int) -> None:
         """Grow every object's signature to at least `target` hashes.

@@ -117,6 +117,8 @@ class PairVerdict:
 class SearchStats:
     candidates: int = 0
     emitted: int = 0
+    # exact similarities computed: the prior-fit sample plus exact verification
+    exact_computed: int = 0
     survivors: dict[int, int] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     prior: inference.BetaParams | None = None
@@ -219,10 +221,7 @@ def fit_candidate_prior(
     rng = np.random.default_rng(seed)
     size = min(_PRIOR_SAMPLE_CAP, len(pairs))
     chosen = rng.choice(len(pairs), size=size, replace=False)
-    sims = [
-        corpus_mod.exact_similarity(corpus, int(i), int(j)) for i, j in pairs[chosen]
-    ]
-    return inference.fit_beta_mom(sims)
+    return inference.fit_beta_mom(corpus_mod.exact_similarities(corpus, pairs[chosen]))
 
 
 def _survivor_counts(prune_ns, total: int, k: int, budget: int) -> dict[int, int]:
@@ -238,19 +237,22 @@ def _emit(corpus: Corpus, pairs: np.ndarray, keep: np.ndarray, config: SearchCon
           estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> list:
     """Output pairs for the kept candidates, sorted by index pair.
 
-    With no `estimate`, kept pairs are verified exactly and emitted only
-    strictly above the threshold.
+    With no `estimate`, kept pairs are verified exactly in one batch and
+    emitted only strictly above the threshold.
     """
-    out = []
-    for idx in np.flatnonzero(keep):
-        i, j = int(pairs[idx, 0]), int(pairs[idx, 1])
-        if estimate is None:
-            sim = corpus_mod.exact_similarity(corpus, i, j)
-            if sim > config.threshold:
-                out.append(OutputPair(i, j, sim, True))
-        else:
-            low = low_confidence is not None and bool(low_confidence[idx])
-            out.append(OutputPair(i, j, float(estimate[idx]), False, low))
+    idx = np.flatnonzero(keep)
+    exact = estimate is None
+    if exact:
+        sims = corpus_mod.exact_similarities(corpus, pairs[idx])
+        above = sims > config.threshold
+        idx, values = idx[above], sims[above]
+    else:
+        values = estimate[idx]
+    low = low_confidence[idx] if low_confidence is not None else np.zeros(len(idx), dtype=bool)
+    out = [
+        OutputPair(i, j, e, exact, lo)
+        for (i, j), e, lo in zip(pairs[idx].tolist(), values.tolist(), low.tolist())
+    ]
     out.sort(key=lambda o: (o.i, o.j))
     return out
 
@@ -265,9 +267,11 @@ def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     verdicts = None
+    exact_computed = 0
     if budget or not exact:
         if config.measure == "jaccard" and prior is None:
             prior = fit_candidate_prior(corpus, pairs, config.seed)
+            exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
         if store is None:
             store = SignatureStore(corpus, config.seed, config.max_hashes)
         posterior = inference.posterior_for_measure(config.measure, prior)
@@ -275,11 +279,13 @@ def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
     keep = np.ones(len(pairs), dtype=bool) if verdicts is None else verdicts.pruned_at == 0
     if exact:
         out = _emit(corpus, pairs, keep, config, None)
+        exact_computed += int(np.count_nonzero(keep))
     else:
         out = _emit(corpus, pairs, keep, config, verdicts.estimate, verdicts.low_confidence)
     if not collect_stats:
         return out
-    stats = SearchStats(candidates=len(pairs), emitted=len(out), prior=prior)
+    stats = SearchStats(candidates=len(pairs), emitted=len(out),
+                        exact_computed=exact_computed, prior=prior)
     if verdicts is not None:
         stats.survivors = _survivor_counts(
             verdicts.pruned_at[~keep], len(pairs), config.batch_hashes, budget

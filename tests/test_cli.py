@@ -167,6 +167,8 @@ class TestEvalRoundTrip:
         assert report["true_positives"] + report["false_negatives"] == report["truth_pairs"]
         assert sum(report["error_histogram"].values()) == report["emitted"]
         assert set(report["timings"]) == {"signatures", "generation", "verification"}
+        # cosine bayeslsh emits posterior estimates and computes no exact similarity
+        assert report["exact_computed"] == 0
 
     def test_check_eval_agrees(self, capsys, cosine_file, tmp_path):
         results, report = self._search_with_eval(capsys, cosine_file, tmp_path)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bayeslsh import corpus as corpus_mod
 from bayeslsh.corpus import (
     COSINE_BINARY,
     COSINE_WEIGHTED,
@@ -13,6 +14,8 @@ from bayeslsh.corpus import (
     Corpus,
     SparseVector,
     cosine_exact,
+    exact_similarities,
+    exact_similarity,
     generate_synthetic,
     jaccard_exact,
     load_corpus,
@@ -158,6 +161,81 @@ class TestExactSimilarity:
         np.testing.assert_allclose(
             similarity_matrix(c), dense_similarity(c), atol=1e-12
         )
+
+
+
+def _reference(mode):
+    return jaccard_exact if mode == JACCARD else cosine_exact
+
+
+class TestExactSimilarities:
+    @pytest.mark.parametrize("slice_pairs", [4096, 7])
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, COSINE_BINARY, JACCARD])
+    def test_batch_equals_per_pair_reference(self, mode, slice_pairs, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_EXACT_SLICE", slice_pairs)
+        c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
+        pairs = np.stack(np.triu_indices(len(c)), axis=1)
+        # reversed (j, i) rows and duplicated rows, in shuffled order
+        pairs = np.concatenate([pairs, pairs[:, ::-1], pairs[:60]])
+        pairs = pairs[np.random.default_rng(5).permutation(len(pairs))]
+        got = exact_similarities(c, pairs)
+        want = [_reference(mode)(c[i], c[j]) for i, j in pairs]
+        if mode == JACCARD:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_empty_vectors(self, mode):
+        full = vec((1, 0.6), (2, 0.8)) if mode == COSINE_WEIGHTED else vec(1, 2)
+        c = Corpus(["e", "f", "x"], [vec(), vec(), full], mode)
+        pairs = [[0, 1], [1, 0], [0, 0], [0, 2], [2, 1], [2, 2]]
+        got = exact_similarities(c, pairs)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(
+            got, [_reference(mode)(c[i], c[j]) for i, j in pairs], rtol=0, atol=1e-12
+        )
+
+    def test_unnormalized_cosine_row_raises_like_cosine_exact(self):
+        c = Corpus(["a", "b", "c"], [vec((1, 0.6), (2, 0.8)), vec((1, 2.0)), vec((2, 1.0))],
+                   COSINE_WEIGHTED)
+        # only the rows a call touches are checked
+        assert exact_similarities(c, [[0, 2]]).tolist() == [0.8]
+        with pytest.raises(ValueError) as batch:
+            exact_similarities(c, [[0, 2], [2, 1]])
+        with pytest.raises(ValueError) as scalar:
+            cosine_exact(c[2], c[1])
+        assert str(batch.value) == str(scalar.value) == "vector norm 2.000000000 deviates from 1"
+
+    def test_weighted_jaccard_row_raises(self):
+        c = Corpus(["a", "b"], [vec(1, 2), vec(2, 3)], JACCARD)
+        c.vectors[1] = vec((2, 1.0), (3, 2.0))
+        with pytest.raises(ValueError, match="unit weights"):
+            exact_similarities(c, [[0, 1]])
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0]])
+    def test_out_of_range_index_raises(self, bad):
+        c = Corpus(["a", "b", "c"], [vec(1), vec(2), vec(3)], JACCARD)
+        with pytest.raises(IndexError):
+            exact_similarities(c, [[0, 1], bad])
+
+    def test_no_pairs(self):
+        c = Corpus(["a"], [vec(1)], JACCARD)
+        assert exact_similarities(c, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, COSINE_BINARY, JACCARD])
+    def test_scalar_is_one_row_of_batch(self, mode):
+        c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
+        for i, j in [(0, 1), (3, 17), (17, 3), (5, 5)]:
+            assert exact_similarity(c, i, j) == exact_similarities(c, [[i, j]])[0]
+
+    def test_csr_wraps_the_flat_layout(self):
+        c = generate_synthetic(40, 300, [(5, 0.7)], seed=3)
+        indptr, features, weights = c.flat()
+        x = c.to_csr()
+        np.testing.assert_array_equal(x.indptr, indptr)
+        np.testing.assert_array_equal(x.indices, features)
+        assert np.shares_memory(x.data, weights)
 
 
 class TestTfidf:

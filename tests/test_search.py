@@ -1,10 +1,16 @@
 """Verification strategies and the end-to-end search pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import CorpusBundle
 
 from bayeslsh import inference, search
+from bayeslsh.candidates import bruteforce_generate
 from bayeslsh.corpus import (
     COSINE_WEIGHTED,
     JACCARD,
@@ -279,6 +285,41 @@ class TestPriorFitting:
         assert got.beta == pytest.approx(want.beta, rel=1e-6)
 
 
+class TestExactComputed:
+    def test_exact_run_counts_every_candidate(self, small_cosine):
+        pairs = small_cosine.allpairs(0.6)
+        cfg = SearchConfig("cosine", 0.6, verifier="exact")
+        _, stats = exact_run(small_cosine.corpus, pairs, cfg, collect_stats=True)
+        assert stats.exact_computed == len(pairs) > 0
+
+    def test_cosine_bayeslsh_computes_none(self, small_cosine):
+        pairs = small_cosine.allpairs(0.6)
+        cfg = SearchConfig("cosine", 0.6, seed=small_cosine.seed)
+        _, stats = bayeslsh_run(
+            small_cosine.corpus, pairs, cfg, store=small_cosine.store(), collect_stats=True
+        )
+        assert stats.exact_computed == 0
+
+    @pytest.mark.parametrize("count", [500, None])
+    def test_jaccard_bayeslsh_counts_the_prior_sample(self, small_jaccard, count):
+        pairs = bruteforce_generate(len(small_jaccard.corpus))[:count]
+        cfg = SearchConfig("jaccard", 0.7, seed=small_jaccard.seed)
+        _, stats = bayeslsh_run(
+            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(), collect_stats=True
+        )
+        assert stats.exact_computed == min(search._PRIOR_SAMPLE_CAP, len(pairs))
+
+    def test_jaccard_lite_adds_its_survivors(self, small_jaccard):
+        pairs = np.array(sorted(small_jaccard.truth(0.0)), dtype=np.int64)[:2000]
+        cfg = SearchConfig("jaccard", 0.6, seed=small_jaccard.seed)
+        _, stats = bayeslsh_lite_run(
+            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(), collect_stats=True
+        )
+        survivors = stats.survivors[cfg.lite_hashes]
+        assert 0 < survivors < len(pairs)
+        assert stats.exact_computed == len(pairs) + survivors
+
+
 class TestSurvivorCounts:
     def test_counts_follow_prune_boundaries(self):
         counts = _survivor_counts([32, 32, 64], total=5, k=32, budget=96)
@@ -333,6 +374,28 @@ class TestRunSearch:
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
         n = len(small_cosine.corpus)
         assert len(generate_candidates(small_cosine.corpus, cfg)) == n * (n - 1) // 2
+
+
+def test_jaccard_search_does_not_import_scipy_sparse():
+    # exact similarity runs on numpy alone; scipy.sparse would add ~22 MB
+    # to a jaccard search, whose minhash signatures never need it
+    code = (
+        "import sys\n"
+        "from bayeslsh.corpus import JACCARD, generate_synthetic\n"
+        "from bayeslsh.search import SearchConfig, run_search\n"
+        "c = generate_synthetic(200, 2000, [(10, 0.8)], seed=1, mode=JACCARD)\n"
+        "cfg = SearchConfig('jaccard', 0.7, generator='bruteforce', verifier='bayeslsh')\n"
+        "assert run_search(c, cfg).stats.exact_computed > 0\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "False"
 
 
 class TestResultsToTsv:
