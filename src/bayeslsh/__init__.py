@@ -38,10 +38,8 @@ from .hashing import (
     CosineHashFamily,
     MinhashFamily,
     SignatureStore,
-    cosine_signature,
     decode_gaussian_2byte,
     encode_gaussian_2byte,
-    minhash_signature,
     read_signatures,
     write_signatures,
 )
@@ -61,13 +59,11 @@ from .inference import (
     jaccard_concentration_prob,
     jaccard_map,
     jaccard_prune_prob,
-    log_reg_inc_beta,
     ml_concentration_prob,
     ml_estimate,
     posterior_for_measure,
     power_law_posterior_grid,
     r2c,
-    reg_inc_beta,
     required_hashes,
 )
 from .search import (

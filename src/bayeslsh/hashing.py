@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .corpus import Corpus, SparseVector, is_cosine_mode, measure_for_mode
+from .corpus import Corpus, is_cosine_mode, measure_for_mode
 from .errors import GuardError
 
 MERSENNE_PRIME = (1 << 31) - 1
@@ -123,25 +123,6 @@ class MinhashFamily:
     def prepare(self, elems: np.ndarray) -> np.ndarray:
         """Ids ready for the linear hash: scrambled and reduced mod p."""
         return scramble_ids(elems) % np.uint64(self.prime)
-
-
-def cosine_signature(family: CosineHashFamily, vec: SparseVector, lo: int, hi: int) -> np.ndarray:
-    """Sign bits (0/1) of hashes [lo, hi); a projection of exactly 0 maps to 1."""
-    bits = np.empty(hi - lo, dtype=np.uint8)
-    for k, i in enumerate(range(lo, hi)):
-        plane = family.plane(i)
-        bits[k] = 1 if float(np.dot(plane[vec.features], vec.weights)) >= 0.0 else 0
-    return bits
-
-
-def minhash_signature(family: MinhashFamily, vec: SparseVector, lo: int, hi: int) -> np.ndarray:
-    """Minwise hash values [lo, hi) of the feature set of `vec`."""
-    if len(vec) == 0:
-        raise ValueError("minhash of an empty set is undefined")
-    a, b = family.params(lo, hi)
-    elems = family.prepare(vec.features)
-    values = (a[:, None] * elems[None, :] + b[:, None]) % np.uint64(family.prime)
-    return values.min(axis=1).astype(np.uint32)
 
 
 class SignatureStore:

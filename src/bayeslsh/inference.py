@@ -11,8 +11,10 @@ uniform prior on r is used. Three queries drive the search loop:
 * the posterior mode (the similarity estimate)
 * concentration      Pr[|S - estimate| < delta | m, n]
 
-Everything here is exact up to the tolerance of the regularized incomplete
-beta function, which is evaluated by continued fractions.
+Both are regularized incomplete beta values from scipy.special: betainc
+for jaccard, betaincc for the cosine upper tails. The cosine ratio is taken
+in logs; a tail below the smallest normal float (the normalizer
+Pr[R >= 0.5] at large n) is summed there from the binomial identity.
 """
 
 from __future__ import annotations
@@ -22,83 +24,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaincc, gammaln, logsumexp
 
 from .errors import NumericError
 
-_CF_MAX_ITER = 300
-_CF_EPS = 1e-12
-_CF_FPMIN = 1e-300
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_FPMIN:
-        d = _CF_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_FPMIN:
-            d = _CF_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _CF_FPMIN:
-            c = _CF_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise NumericError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
-def betaln(a: float, b: float) -> float:
-    return float(gammaln(a) + gammaln(b) - gammaln(a + b))
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) to absolute error below 1e-10."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_bt = a * math.log(x) + b * math.log1p(-x) - betaln(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_bt) * _betacf(a, b, x) / a
-    return 1.0 - math.exp(log_bt) * _betacf(b, a, 1.0 - x) / b
-
-
-def log_reg_inc_beta(x: float, a: float, b: float) -> float:
-    """log I_x(a, b), stable when the tail underflows a plain float."""
-    if a <= 0 or b <= 0:
-        raise ValueError("shape parameters must be positive")
-    if x <= 0.0:
-        return -math.inf
-    if x >= 1.0:
-        return 0.0
-    log_bt = a * math.log(x) + b * math.log1p(-x) - betaln(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return log_bt + math.log(_betacf(a, b, x)) - math.log(a)
-    upper = math.exp(log_bt) * _betacf(b, a, 1.0 - x) / b
-    if upper >= 1.0:
-        return -math.inf
-    return math.log1p(-upper)
+_TINY = np.finfo(np.float64).tiny
 
 
 # --- frequentist baseline ---------------------------------------------------
@@ -111,6 +41,17 @@ def ml_estimate(m: int, n: int) -> float:
     if not 0 <= m <= n:
         raise ValueError("m must be in [0, n]")
     return m / n
+
+
+def _binom_logpmf(m: np.ndarray, n: int, s: float) -> np.ndarray:
+    """log Pr[Binomial(n, s) = m] for each m; s in (0, 1)."""
+    return (
+        gammaln(n + 1)
+        - gammaln(m + 1)
+        - gammaln(n - m + 1)
+        + m * math.log(s)
+        + (n - m) * math.log1p(-s)
+    )
 
 
 def _binomial_coverage(s: float, n: int, delta: float, inclusive: bool) -> float:
@@ -135,15 +76,7 @@ def _binomial_coverage(s: float, n: int, delta: float, inclusive: bool) -> float
         return 0.0
     if lo == 0 and hi == n:
         return 1.0
-    m = np.arange(lo, hi + 1)
-    logpmf = (
-        gammaln(n + 1)
-        - gammaln(m + 1)
-        - gammaln(n - m + 1)
-        + m * math.log(s)
-        + (n - m) * math.log1p(-s)
-    )
-    return float(np.exp(logpmf).sum())
+    return float(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, s)).sum())
 
 
 def ml_concentration_prob(s: float, n: int, delta: float) -> float:
@@ -230,9 +163,8 @@ def fit_beta_mom(samples, min_samples: int = 20) -> BetaParams:
 
 def jaccard_prune_prob(prior: BetaParams, m: int, n: int, t: float) -> float:
     """Pr[S >= t | m of n hashes matched] under a Beta prior."""
-    a = m + prior.alpha
-    b = n - m + prior.beta
-    return reg_inc_beta(1.0 - t, b, a)
+    post = BetaParams(m + prior.alpha, n - m + prior.beta)
+    return float(betainc(post.beta, post.alpha, 1.0 - t))
 
 
 def jaccard_map(prior: BetaParams, m: int, n: int) -> float:
@@ -256,11 +188,10 @@ def jaccard_concentration_prob(
     prior: BetaParams, m: int, n: int, estimate: float, delta: float
 ) -> float:
     """Pr[|S - estimate| < delta | m, n]; integration limits clamped to [0, 1]."""
-    a = m + prior.alpha
-    b = n - m + prior.beta
+    post = BetaParams(m + prior.alpha, n - m + prior.beta)
     hi = min(estimate + delta, 1.0)
     lo = max(estimate - delta, 0.0)
-    return max(0.0, reg_inc_beta(hi, a, b) - reg_inc_beta(lo, a, b))
+    return max(0.0, float(betainc(post.alpha, post.beta, hi) - betainc(post.alpha, post.beta, lo)))
 
 
 # --- cosine posterior -------------------------------------------------------
@@ -277,8 +208,19 @@ def c2r(c: float) -> float:
 
 
 def _log_upper_mass(x: float, a: float, b: float) -> float:
-    """log Pr[R >= x] for R ~ Beta(a, b): the upper regularized tail."""
-    return log_reg_inc_beta(1.0 - x, b, a)
+    """log Pr[R >= x] for R ~ Beta(a, b) with integer shapes a, b >= 1.
+
+    Below the smallest normal float the tail is summed in logs from
+    Pr[R >= x] = Pr[Binomial(a + b - 1, x) <= a - 1].
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError("shape parameters must be positive")
+    tail = float(betaincc(a, b, x))
+    if tail >= _TINY:
+        return math.log(tail)
+    if x >= 1.0:
+        return -math.inf
+    return float(logsumexp(_binom_logpmf(np.arange(int(a)), int(a + b) - 1, x)))
 
 
 def cosine_prune_prob(m: int, n: int, t: float) -> float:

@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written the slow, obvious way: quadrature
-instead of continued fractions, per-hash loops instead of packed bit
-tricks, linear scans instead of binary searches. Tests compare package
-output against these.
+instead of scipy's incomplete beta, per-hash loops and one vector at a
+time instead of packed bits over the whole corpus, linear scans instead of
+binary searches. Tests compare package output against these.
 """
 
 from __future__ import annotations
@@ -171,6 +171,25 @@ def dense_similarity(corpus) -> np.ndarray:
                 sim = float(dense[i] @ dense[j]) / (ni * nj) if ni and nj else 0.0
             out[i, j] = out[j, i] = float(sim)
     return out
+
+
+def cosine_signature(family, vec, lo: int, hi: int) -> np.ndarray:
+    """Sign bits (0/1) of hashes [lo, hi); a projection of exactly 0 maps to 1."""
+    bits = np.empty(hi - lo, dtype=np.uint8)
+    for k, i in enumerate(range(lo, hi)):
+        plane = family.plane(i)
+        bits[k] = 1 if float(np.dot(plane[vec.features], vec.weights)) >= 0.0 else 0
+    return bits
+
+
+def minhash_signature(family, vec, lo: int, hi: int) -> np.ndarray:
+    """Minwise hash values [lo, hi) of the feature set of `vec`."""
+    if len(vec) == 0:
+        raise ValueError("minhash of an empty set is undefined")
+    a, b = family.params(lo, hi)
+    elems = family.prepare(vec.features)
+    values = (a[:, None] * elems[None, :] + b[:, None]) % np.uint64(family.prime)
+    return values.min(axis=1).astype(np.uint32)
 
 
 def count_matches_loop(store, i: int, j: int, lo: int, hi: int) -> int:

@@ -15,14 +15,12 @@ from bayeslsh.hashing import (
     CosineHashFamily,
     MinhashFamily,
     SignatureStore,
-    cosine_signature,
     decode_gaussian_2byte,
     encode_gaussian_2byte,
-    minhash_signature,
     read_signatures,
     write_signatures,
 )
-from oracles import count_matches_loop
+from oracles import count_matches_loop, cosine_signature, minhash_signature
 
 
 def _unit(features, weights):
@@ -107,6 +105,9 @@ class TestFamilies:
         fam = MinhashFamily(seed=3, universe=100)
         with pytest.raises(ValueError):
             minhash_signature(fam, _set(), 0, 8)
+        corpus = Corpus(["a", "b"], [_set(1, 2), _set()], JACCARD, dim=100)
+        with pytest.raises(ValueError, match="empty set"):
+            SignatureStore(corpus, seed=3)
 
 
 class TestCollisionLaw:
@@ -149,6 +150,15 @@ class TestSignatureStore:
         before = store.band_values(0, 64).copy()
         store.extend(512)
         np.testing.assert_array_equal(store.band_values(0, 64), before)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_rows_equal_per_vector_oracle(self, mode):
+        corpus, store = self._store(mode)
+        store.extend(160)
+        oracle = cosine_signature if mode == COSINE_WEIGHTED else minhash_signature
+        values = store.band_values(0, 160)
+        for i in range(len(corpus)):
+            np.testing.assert_array_equal(values[i], oracle(store.family, corpus[i], 0, 160))
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
     def test_extension_rounds_to_word_multiples(self, mode):

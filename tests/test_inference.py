@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import betaincc, logsumexp
 
 from bayeslsh.inference import (
     UNIFORM_PRIOR,
@@ -19,17 +20,16 @@ from bayeslsh.inference import (
     jaccard_concentration_prob,
     jaccard_map,
     jaccard_prune_prob,
-    log_reg_inc_beta,
     ml_concentration_prob,
     ml_estimate,
     posterior_for_measure,
     power_law_posterior_grid,
     r2c,
-    reg_inc_beta,
     required_hashes,
+    _binom_logpmf,
+    _log_upper_mass,
 )
 from oracles import (
-    beta_mass,
     binomial_coverage_oracle,
     cosine_concentration_oracle,
     cosine_prune_oracle,
@@ -40,42 +40,66 @@ from oracles import (
 
 
 class TestRegIncBeta:
+    """Posterior tails, which are regularized incomplete beta values.
+
+    With m = n = 0 the jaccard prune probability is the prior's own upper
+    tail, Pr[S >= t] = I_{1-t}(beta, alpha). The cosine tails are checked
+    where they underflow a float.
+    """
+
     @pytest.mark.parametrize("a, b", [(1, 1), (0.5, 3), (7, 2.5), (40, 60)])
     def test_boundaries(self, a, b):
-        assert reg_inc_beta(0.0, a, b) == 0.0
-        assert reg_inc_beta(1.0, a, b) == 1.0
+        assert jaccard_prune_prob(BetaParams(a, b), 0, 0, 1.0) == 0.0
+        assert jaccard_prune_prob(BetaParams(a, b), 0, 0, 0.0) == 1.0
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 7.0])
     def test_symmetric_midpoint(self, a):
-        assert reg_inc_beta(0.5, a, a) == pytest.approx(0.5, abs=1e-12)
+        assert jaccard_prune_prob(BetaParams(a, a), 0, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_cdf(self):
-        for x in np.linspace(0.05, 0.95, 10):
-            assert reg_inc_beta(float(x), 1, 1) == pytest.approx(x, abs=1e-12)
+        for t in np.linspace(0.05, 0.95, 10):
+            assert jaccard_prune_prob(UNIFORM_PRIOR, 0, 0, float(t)) == pytest.approx(
+                1.0 - t, abs=1e-12
+            )
 
     def test_quadrature_agreement(self):
-        # beta_mass carries an arbitrary overflow-protection scale, so the
-        # regularized value is the ratio against the full-support mass
         rng = np.random.default_rng(17)
         for _ in range(50):
             a = float(rng.uniform(0.5, 8.0))
             b = float(rng.uniform(0.5, 8.0))
-            x = float(rng.uniform(0.0, 1.0))
-            expected = beta_mass(a, b, 0.0, x) / beta_mass(a, b, 0.0, 1.0)
-            assert reg_inc_beta(x, a, b) == pytest.approx(expected, abs=1e-8)
+            t = float(rng.uniform(0.0, 1.0))
+            assert jaccard_prune_prob(BetaParams(a, b), 0, 0, t) == pytest.approx(
+                jaccard_prune_oracle(a, b, 0, 0, t), abs=1e-8
+            )
 
     def test_log_variant_matches_closed_form_deep_tail(self):
-        n = 128
-        # I_{0.5}(n+1, 1) = 0.5^(n+1), far below double-precision betainc
-        assert log_reg_inc_beta(0.5, n + 1, 1) == pytest.approx(
-            (n + 1) * math.log(0.5), rel=1e-12
-        )
+        # m = 0: Pr[R >= x] = (1 - x)^(n+1), so the ratio of tails is
+        # (2 (1 - r_t))^(n+1); at n = 4096 both tails underflow a float
+        for n in (128, 1024, 4096):
+            for t in (0.01, 0.05):
+                assert cosine_prune_prob(0, n, t) == pytest.approx(
+                    (2.0 * (1.0 - c2r(t))) ** (n + 1), rel=1e-11
+                )
+
+    def test_nonpositive_shapes_rejected(self):
+        # a match count outside [0, n] can leave a posterior shape at or below 0
+        with pytest.raises(ValueError):
+            cosine_prune_prob(-1, 4, 0.7)
+        with pytest.raises(ValueError):
+            cosine_concentration_prob(5, 4, 0.9, 0.05)
+        with pytest.raises(ValueError):
+            jaccard_prune_prob(UNIFORM_PRIOR, 6, 4, 0.7)
+        with pytest.raises(ValueError):
+            jaccard_concentration_prob(UNIFORM_PRIOR, 6, 4, 0.9, 0.05)
 
     def test_log_variant_consistent_where_representable(self):
-        for x, a, b in [(0.3, 2, 5), (0.8, 6, 1.5), (0.5, 10, 10)]:
-            assert math.exp(log_reg_inc_beta(x, a, b)) == pytest.approx(
-                reg_inc_beta(x, a, b), rel=1e-10
-            )
+        # the identity the underflow fallback sums in logs:
+        # Pr[R >= x] = Pr[Binomial(a + b - 1, x) <= a - 1]
+        for x, a, b in [(0.3, 2, 5), (0.8, 6, 2), (0.5, 10, 10), (0.6, 300, 200)]:
+            expected = math.log(float(betaincc(a, b, x)))
+            assert _log_upper_mass(x, a, b) == expected
+            summed = float(logsumexp(_binom_logpmf(np.arange(a), a + b - 1, x)))
+            assert summed == pytest.approx(expected, rel=1e-10)
 
 
 class TestFrequentistEstimator:
@@ -281,6 +305,22 @@ class TestCosinePosterior:
             assert cosine_concentration_prob(m, n, est, d) == pytest.approx(
                 cosine_concentration_oracle(m, n, est, d), abs=1e-8
             )
+
+    def test_deep_tail_vs_oracle(self):
+        # m <= n/3 puts the posterior far below r = 0.5; the normalizer
+        # Pr[R >= 0.5] drops below the smallest normal float at m = 0 and
+        # at m = n/8, n/5 for n = 4096, where the log-space fallback runs
+        for n in (1024, 2048, 4096):
+            for m in (0, n // 8, n // 5, n // 3):
+                for t in (0.01, 0.05):
+                    assert cosine_prune_prob(m, n, t) == pytest.approx(
+                        cosine_prune_oracle(m, n, t), abs=1e-8
+                    ), (m, n, t)
+                est = cosine_map(m, n)
+                for d in (0.01, 0.05):
+                    assert cosine_concentration_prob(m, n, est, d) == pytest.approx(
+                        cosine_concentration_oracle(m, n, est, d), abs=1e-8
+                    ), (m, n, d)
 
 
 class TestPosteriorCalibration:

@@ -398,6 +398,28 @@ def test_jaccard_search_does_not_import_scipy_sparse():
     assert proc.stdout.strip() == "False"
 
 
+def test_cosine_search_does_not_import_scipy_stats():
+    # the posterior tails come from scipy.special; importing scipy.stats
+    # would add more than a second to every CLI start
+    code = (
+        "import sys\n"
+        "import bayeslsh.cli\n"
+        "from bayeslsh.corpus import COSINE_WEIGHTED, generate_synthetic\n"
+        "from bayeslsh.search import SearchConfig, run_search\n"
+        "c = generate_synthetic(200, 2000, [(10, 0.8)], seed=1, mode=COSINE_WEIGHTED)\n"
+        "assert run_search(c, SearchConfig('cosine', 0.7)).stats.candidates > 0\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "False"
+
+
 class TestResultsToTsv:
     def test_format(self):
         corpus = generate_synthetic(3, 50, [], seed=0, mode=COSINE_WEIGHTED)
