@@ -120,6 +120,25 @@ class TestBanding:
         np.testing.assert_array_equal(outs[0], outs[1])
         _assert_canonical(outs[0])
 
+    def test_matches_pairs_with_an_equal_band(self):
+        # near-duplicate groups make buckets of several sizes in each band
+        corpus = generate_synthetic(
+            80, 400, [(12, 0.95), (9, 0.9), (6, 0.8)], seed=3, mode=COSINE_WEIGHTED
+        )
+        params = BandingParams(band_width=6, tables=8, eps_fn=0.03)
+        store = SignatureStore(corpus, seed=3, max_hashes=64)
+        store.extend(params.hashes_needed)
+        expected, bucket_sizes = set(), set()
+        for j in range(params.tables):
+            rows = store.band_values(j * 6, (j + 1) * 6)
+            same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
+            expected |= {(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(same, k=1)))}
+            bucket_sizes |= set(same.sum(axis=1).tolist())
+        assert {2, 3} <= bucket_sizes
+        pairs = lsh_banding_generate(store, params, seed=3)
+        assert _pair_set(pairs) == expected
+        np.testing.assert_array_equal(pairs, np.unique(pairs, axis=0))
+
 
 class TestAllpairs:
     def test_tiny_threshold_yields_all_overlapping_pairs(self):
