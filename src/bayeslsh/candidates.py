@@ -3,7 +3,9 @@
 Candidate sets are (M, 2) int64 arrays of index pairs with i < j, sorted
 lexicographically and deduplicated. Generators only promise a superset of
 the truly similar pairs (for banding, a probabilistic one); verification
-is someone else's job.
+is someone else's job. The prefix-filtered index (AllPairs) is one sorted
+join of every vector's entries against the indexed suffixes of the
+vectors before it, run a fixed slice of entries at a time.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, is_cosine_mode
+from .corpus import Corpus, _entries, is_cosine_mode
 from .errors import GuardError, UnsupportedMeasure
 from .hashing import SignatureStore
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 _BRUTEFORCE_GUARD = 10**8
+
+# probing entries matched against the postings per step of allpairs_generate;
+# bounds the join rows held at once
+_ALLPAIRS_SLICE = 16384
 
 
 def num_tables(eps_fn: float, t: float, b: int) -> int:
@@ -128,82 +134,67 @@ def lsh_banding_generate(
     return _canonicalize(np.concatenate(chunks))
 
 
-class _Postings:
-    """Append-only inverted index with lazily materialized numpy views."""
-
-    __slots__ = ("ids", "weights", "_ids_arr", "_w_arr")
-
-    def __init__(self):
-        self.ids: list[int] = []
-        self.weights: list[float] = []
-        self._ids_arr = None
-        self._w_arr = None
-
-    def append(self, vec_id: int, weight: float) -> None:
-        self.ids.append(vec_id)
-        self.weights.append(weight)
-        self._ids_arr = None
-
-    def arrays(self):
-        if self._ids_arr is None or len(self._ids_arr) != len(self.ids):
-            self._ids_arr = np.asarray(self.ids, dtype=np.int64)
-            self._w_arr = np.asarray(self.weights, dtype=np.float64)
-        return self._ids_arr, self._w_arr
-
-
 def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
-    """Score-accumulation candidate generation with the basic prefix bound.
+    """Prefix-filtered candidate generation (AllPairs with the basic bound).
 
-    Processes features in decreasing document frequency; each vector is
-    indexed only past the largest prefix whose maximum possible score stays
-    below t, so any pair reaching t shares at least one indexed feature.
-    Cosine modes only.
+    Features are ranked by decreasing document frequency. Each vector
+    indexes only the suffix past the longest rank-order prefix whose
+    maximum possible score stays below t, so any pair reaching t shares at
+    least one indexed feature. The candidates are then one join: every
+    entry of every vector x is matched, a slice of entries at a time,
+    against the indexed entries of its feature, and each indexed y < x
+    whose weight product is positive pairs with x. Raises GuardError when
+    the join would exceed DEFAULT_CANDIDATE_BUDGET rows. Cosine modes only.
     """
     if not is_cosine_mode(corpus.mode):
         raise UnsupportedMeasure("the prefix-filtered generator supports cosine modes only")
     if not 0.0 < t < 1.0:
         raise ValueError("t must be in (0, 1)")
     n = len(corpus)
-    df = np.zeros(corpus.dim, dtype=np.int64)
+    indptr, features, weights = corpus.flat()
+    sizes = np.diff(indptr)
+    owner = np.repeat(np.arange(n), sizes)
+    df = np.bincount(features, minlength=corpus.dim)
     maxw = np.zeros(corpus.dim, dtype=np.float64)
-    for vec in corpus.vectors:
-        df[vec.features] += 1
-        np.maximum.at(maxw, vec.features, vec.weights)
+    np.maximum.at(maxw, features, weights)
     # global feature order: decreasing df, feature id breaking ties
     rank = np.empty(corpus.dim, dtype=np.int64)
     rank[np.lexsort((np.arange(corpus.dim), -df))] = np.arange(corpus.dim)
 
-    index: dict[int, _Postings] = {}
-    chunks: list[np.ndarray] = []
-    scores = np.zeros(n, dtype=np.float64)
-    for x_id, vec in enumerate(corpus.vectors):
-        if len(vec) == 0:
-            continue
-        order = np.argsort(rank[vec.features], kind="stable")
-        feats = vec.features[order]
-        weights = vec.weights[order]
-        touched: list[np.ndarray] = []
-        for f, w in zip(feats, weights):
-            postings = index.get(int(f))
-            if postings is None:
-                continue
-            ids, ws = postings.arrays()
-            scores[ids] += w * ws
-            touched.append(ids)
-        if touched:
-            cand = _unique_ints(np.concatenate(touched))
-            cand = cand[scores[cand] > 0.0]
-            if len(cand):
-                chunks.append(np.column_stack([cand, np.full(len(cand), x_id)]))
-            scores[cand] = 0.0
-        # index the suffix: skip the longest prefix with bound sum < t
-        bound = np.cumsum(weights * maxw[feats])
-        start = int(np.searchsorted(bound, t, side="left"))
-        for f, w in zip(feats[start:], weights[start:]):
-            index.setdefault(int(f), _Postings()).append(x_id, float(w))
-    if not chunks:
+    # each vector's entries in rank order; index the suffix past the longest
+    # prefix whose bound sum stays below t. Vectors of one size are summed as
+    # the rows of one block, and cumsum runs along each row in sequence, so
+    # every sum is the one a cumsum over the vector alone gives.
+    order = np.lexsort((rank[features], owner))
+    bound = weights[order] * maxw[features[order]]
+    prefix = np.zeros(n, dtype=np.int64)
+    for size in _unique_ints(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == size)
+        block = np.cumsum(bound[indptr[rows][:, None] + np.arange(size)], axis=1)
+        prefix[rows] = (block < t).sum(axis=1)
+    indexed = order[np.arange(len(order)) - indptr[owner] >= prefix[owner]]
+    # postings: indexed entries by feature, ascending vector id within one
+    indexed = indexed[np.argsort(features[indexed], kind="stable")]
+    post_ptr = np.zeros(corpus.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(features[indexed], minlength=corpus.dim), out=post_ptr[1:])
+    post_ids, post_w = owner[indexed], weights[indexed]
+
+    joined = int(np.diff(post_ptr)[features].sum())
+    if joined > DEFAULT_CANDIDATE_BUDGET:
+        raise GuardError(
+            f"prefix-index join of {joined} rows exceeds the budget of {DEFAULT_CANDIDATE_BUDGET}"
+        )
+    keys: list[np.ndarray] = []
+    for lo in range(0, len(features), _ALLPAIRS_SLICE):
+        pos, probe = _entries(post_ptr, features[lo : lo + _ALLPAIRS_SLICE])
+        probe += lo
+        y, x = post_ids[pos], owner[probe]
+        keep = (y < x) & (post_w[pos] * weights[probe] > 0.0)
+        keys.append(y[keep] * n + x[keep])
+    if not keys:
         return np.zeros((0, 2), dtype=np.int64)
-    return _canonicalize(np.concatenate(chunks))
+    keys = _unique_ints(np.concatenate(keys))
+    return np.column_stack([keys // n, keys % n])
 
 
 def bruteforce_generate(n: int) -> np.ndarray:

@@ -244,9 +244,7 @@ def tfidf_weight(corpus: Corpus) -> Corpus:
     if corpus.mode != COSINE_WEIGHTED:
         raise ValueError("tf-idf reweighting requires cosine-weighted mode")
     n = len(corpus)
-    df = np.zeros(corpus.dim, dtype=np.int64)
-    for vec in corpus.vectors:
-        df[vec.features] += 1
+    df = np.bincount(corpus.flat()[1], minlength=corpus.dim)
     idf = np.zeros(corpus.dim, dtype=np.float64)
     present = df > 0
     idf[present] = np.log(n / df[present])

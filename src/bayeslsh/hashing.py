@@ -260,8 +260,18 @@ def read_signatures(path) -> SignatureStore:
         magic = fh.read(4)
         if magic != _SIG_MAGIC:
             raise ValueError(f"bad signature file magic {magic!r}")
-        measure_code, count, available, seed = struct.unpack("<BQQq", fh.read(25))
+        header = fh.read(25)
+        if len(header) != 25:
+            raise ValueError("signature file truncated: incomplete header")
+        measure_code, count, available, seed = struct.unpack("<BQQq", header)
         payload = fh.read()
+    if measure_code not in (0, 1):
+        raise ValueError(f"unknown measure code {measure_code} in signature file")
+    expected = count * (8 * -(-available // 64) if measure_code == 0 else 4 * available)
+    if len(payload) != expected:
+        raise ValueError(
+            f"signature file truncated or padded: {len(payload)} of {expected} payload bytes"
+        )
     store = SignatureStore.__new__(SignatureStore)
     store.measure = "cosine" if measure_code == 0 else "jaccard"
     store._lock = threading.Lock()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bayeslsh import candidates as cand_mod
 from bayeslsh.candidates import (
     BandingParams,
     allpairs_generate,
@@ -13,6 +14,7 @@ from bayeslsh.candidates import (
     write_candidates,
 )
 from bayeslsh.corpus import (
+    COSINE_BINARY,
     COSINE_WEIGHTED,
     JACCARD,
     Corpus,
@@ -22,6 +24,7 @@ from bayeslsh.corpus import (
 )
 from bayeslsh.errors import GuardError, UnsupportedMeasure
 from bayeslsh.hashing import SignatureStore
+from oracles import allpairs_loop
 
 
 def _pair_set(pairs: np.ndarray) -> set[tuple[int, int]]:
@@ -140,7 +143,90 @@ class TestBanding:
         np.testing.assert_array_equal(pairs, np.unique(pairs, axis=0))
 
 
+def _with_empty_vectors() -> Corpus:
+    base = generate_synthetic(60, 800, [(6, 0.8)], seed=8, mode=COSINE_WEIGHTED)
+    vectors = list(base.vectors)
+    for k in (0, 17, 59):
+        vectors[k] = SparseVector([], [])
+    return Corpus(list(base.ids), vectors, base.mode, dim=base.dim)
+
+
+def _with_prefix_only_vector() -> Corpus:
+    # weights this small keep the whole bound sum below t: nothing is indexed
+    base = generate_synthetic(60, 800, [(6, 0.8)], seed=9, mode=COSINE_WEIGHTED)
+    vectors = list(base.vectors)
+    vectors[30] = SparseVector(vectors[12].features, np.full(len(vectors[12]), 0.01))
+    return Corpus(list(base.ids), vectors, base.mode, dim=base.dim)
+
+
+def _underflowing_pair() -> Corpus:
+    # vectors 0 and 1 share only feature 9, at weights whose product is 0.0;
+    # features 0 and 1 (df 3) rank before 9 (df 2), so the bound sum reaches
+    # t on the first entry and feature 9 is indexed in both
+    tiny = 1e-170
+    vectors = [
+        SparseVector([0, 9], [1.0, tiny]),
+        SparseVector([1, 9], [1.0, tiny]),
+        SparseVector([0, 5], [0.6, 0.8]),
+        SparseVector([0, 6], [0.8, 0.6]),
+        SparseVector([1], [1.0]),
+        SparseVector([1, 5], [0.8, 0.6]),
+    ]
+    return Corpus([f"v{k}" for k in range(len(vectors))], vectors, COSINE_WEIGHTED, dim=10)
+
+
+_ALLPAIRS_CORPORA = {
+    "weighted": lambda: generate_synthetic(
+        150, 1500, [(10, 0.8), (10, 0.5)], seed=4, mode=COSINE_WEIGHTED
+    ),
+    "binary": lambda: generate_synthetic(
+        150, 1500, [(10, 0.8), (10, 0.5)], seed=4, mode=COSINE_BINARY
+    ),
+    "empty-vectors": _with_empty_vectors,
+    "prefix-only-vector": _with_prefix_only_vector,
+    "slice-7": lambda: generate_synthetic(
+        80, 900, [(8, 0.7)], seed=10, mode=COSINE_WEIGHTED
+    ),
+    "underflow": _underflowing_pair,
+}
+
+
 class TestAllpairs:
+    @pytest.mark.parametrize(
+        "case, t",
+        [(mode, t) for mode in ("weighted", "binary") for t in (1e-9, 0.3, 0.7, 0.9)]
+        + [
+            ("empty-vectors", 0.3),
+            ("prefix-only-vector", 0.5),
+            ("slice-7", 0.3),
+            ("underflow", 0.5),
+            ("acceptance-seed-0", 0.7),
+        ],
+    )
+    def test_matches_reference_loop(self, case, t, bundles, monkeypatch):
+        if case == "acceptance-seed-0":
+            corpus = bundles(0).corpus
+            got = bundles(0).allpairs(t)
+        else:
+            if case == "slice-7":
+                monkeypatch.setattr(cand_mod, "_ALLPAIRS_SLICE", 7)
+            corpus = _ALLPAIRS_CORPORA[case]()
+            got = allpairs_generate(corpus, t)
+        _assert_canonical(got)
+        expected = allpairs_loop(corpus, t)
+        assert len(expected) > 0
+        np.testing.assert_array_equal(got, expected)
+        if case == "underflow":
+            assert (0, 1) not in _pair_set(got)
+        if case == "prefix-only-vector":
+            assert 30 in got
+
+    def test_join_guard(self, monkeypatch):
+        corpus = generate_synthetic(80, 600, [(10, 0.8)], seed=5, mode=COSINE_WEIGHTED)
+        monkeypatch.setattr(cand_mod, "DEFAULT_CANDIDATE_BUDGET", 10)
+        with pytest.raises(GuardError, match="budget of 10"):
+            allpairs_generate(corpus, 0.6)
+
     def test_tiny_threshold_yields_all_overlapping_pairs(self):
         corpus = generate_synthetic(40, 300, [(5, 0.7)], seed=2, mode=COSINE_WEIGHTED)
         got = _pair_set(allpairs_generate(corpus, 1e-9))

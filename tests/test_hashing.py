@@ -224,6 +224,27 @@ class TestSignatureStore:
                 i, j, 10, 150
             )
 
+    def test_unknown_measure_code_rejected(self, tmp_path):
+        _, store = self._store(COSINE_WEIGHTED)
+        store.extend(64)
+        path = tmp_path / "sigs.bin"
+        write_signatures(store, path)
+        data = bytearray(path.read_bytes())
+        data[4] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unknown measure code 7"):
+            read_signatures(path)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_truncated_payload_rejected(self, mode, tmp_path):
+        _, store = self._store(mode)
+        store.extend(64)
+        path = tmp_path / "sigs.bin"
+        write_signatures(store, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated"):
+            read_signatures(path)
+
     def test_parallel_extension_is_consistent(self):
         from concurrent.futures import ThreadPoolExecutor
 
