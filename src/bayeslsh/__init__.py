@@ -23,11 +23,9 @@ from .corpus import (
     MODES,
     Corpus,
     SparseVector,
-    cosine_exact,
     exact_similarities,
     exact_similarity,
     generate_synthetic,
-    jaccard_exact,
     load_corpus,
     serialize_corpus,
     similarity_matrix,

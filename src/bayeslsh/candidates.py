@@ -63,16 +63,6 @@ class BandingParams:
         return self.band_width * self.tables
 
 
-def _canonicalize(pairs: np.ndarray) -> np.ndarray:
-    if len(pairs) == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-    pairs = np.asarray(pairs, dtype=np.int64)
-    # i * n + j orders pairs as (i, j) do, so one 1-d unique sorts and dedups
-    n = int(pairs.max()) + 1
-    keys = _unique_ints(pairs[:, 0] * n + pairs[:, 1])
-    return np.column_stack([keys // n, keys % n])
-
-
 def _unique_ints(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values: np.unique's result from one sort and one mask.
 
@@ -85,15 +75,26 @@ def _unique_ints(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _bucket_pairs(order: np.ndarray, starts: np.ndarray, size: int) -> np.ndarray:
-    """All within-bucket pairs of the `size`-member buckets at `starts`.
+def _pairs_from_keys(keys: list[np.ndarray], n: int) -> np.ndarray:
+    """Sorted distinct (i, j) rows of the pair keys i * n + j.
+
+    i * n + j orders pairs as (i, j) do, so one 1-d sort dedups and sorts.
+    """
+    if not keys:
+        return np.zeros((0, 2), dtype=np.int64)
+    keys = _unique_ints(np.concatenate(keys))
+    return np.column_stack([keys // n, keys % n])
+
+
+def _bucket_pairs(order: np.ndarray, starts: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Keys i * n + j of all within-bucket pairs of the `size`-member buckets at `starts`.
 
     `order` comes from a stable argsort, so each bucket's members are
     already ascending and every pair has i < j.
     """
     members = order[starts[:, None] + np.arange(size)]
     ii, jj = np.triu_indices(size, k=1)
-    return np.column_stack([members[:, ii].ravel(), members[:, jj].ravel()])
+    return (members[:, ii] * n + members[:, jj]).ravel()
 
 
 def lsh_banding_generate(
@@ -115,6 +116,7 @@ def lsh_banding_generate(
             f"banding needs {needed} hashes, store has {store.hashes_available}"
         )
     rng = np.random.default_rng(seed)
+    n = store.n_objects
     chunks: list[np.ndarray] = []
     emitted = 0
     for j in range(l):
@@ -128,10 +130,8 @@ def lsh_banding_generate(
         if emitted > budget:
             raise GuardError(f"candidate generation exceeded budget of {budget} pairs")
         for size in _unique_ints(sizes[sizes >= 2]):
-            chunks.append(_bucket_pairs(order, starts[sizes == size], int(size)))
-    if not chunks:
-        return np.zeros((0, 2), dtype=np.int64)
-    return _canonicalize(np.concatenate(chunks))
+            chunks.append(_bucket_pairs(order, starts[sizes == size], int(size), n))
+    return _pairs_from_keys(chunks, n)
 
 
 def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
@@ -191,10 +191,7 @@ def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
         y, x = post_ids[pos], owner[probe]
         keep = (y < x) & (post_w[pos] * weights[probe] > 0.0)
         keys.append(y[keep] * n + x[keep])
-    if not keys:
-        return np.zeros((0, 2), dtype=np.int64)
-    keys = _unique_ints(np.concatenate(keys))
-    return np.column_stack([keys // n, keys % n])
+    return _pairs_from_keys(keys, n)
 
 
 def bruteforce_generate(n: int) -> np.ndarray:
@@ -221,11 +218,16 @@ def write_candidates(pairs: np.ndarray, path) -> None:
 
 def read_candidates(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _CAND_MAGIC:
-            raise ValueError(f"bad candidate file magic {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<u4")
+        header = fh.read(12)
+        payload = fh.read()
+    if header[:4] != _CAND_MAGIC:
+        raise ValueError(f"bad candidate file magic {header[:4]!r}")
+    if len(header) != 12:
+        raise ValueError("candidate file truncated: incomplete header")
+    if len(payload) % 8:
+        raise ValueError(f"candidate file truncated or padded: {len(payload)} payload bytes")
+    (count,) = struct.unpack("<Q", header[4:])
+    data = np.frombuffer(payload, dtype="<u4")
     if data.size != 2 * count:
         raise ValueError(f"candidate file truncated: {data.size // 2} of {count} pairs")
     return data.reshape(count, 2).astype(np.int64)

@@ -265,47 +265,6 @@ def tfidf_weight(corpus: Corpus) -> Corpus:
     return Corpus(list(corpus.ids), vectors, corpus.mode, dim=corpus.dim)
 
 
-def _merge_dot(x: SparseVector, y: SparseVector) -> float:
-    if len(x) == 0 or len(y) == 0:
-        return 0.0
-    if len(x) > len(y):
-        x, y = y, x
-    pos = np.searchsorted(y.features, x.features)
-    pos_c = np.minimum(pos, len(y.features) - 1)
-    hit = y.features[pos_c] == x.features
-    return float(np.dot(x.weights[hit], y.weights[pos_c[hit]]))
-
-
-def _intersection_size(x: SparseVector, y: SparseVector) -> int:
-    if len(x) == 0 or len(y) == 0:
-        return 0
-    if len(x) > len(y):
-        x, y = y, x
-    pos = np.searchsorted(y.features, x.features)
-    pos_c = np.minimum(pos, len(y.features) - 1)
-    return int(np.count_nonzero(y.features[pos_c] == x.features))
-
-
-def cosine_exact(x: SparseVector, y: SparseVector) -> float:
-    """Dot product of L2-normalized vectors, clamped to [0, 1]."""
-    for v in (x, y):
-        if len(v) > 0 and abs(v.norm() - 1.0) > _NORM_CHECK_TOL:
-            raise ValueError(f"vector norm {v.norm():.9f} deviates from 1")
-    return min(1.0, max(0.0, _merge_dot(x, y)))
-
-
-def jaccard_exact(x: SparseVector, y: SparseVector) -> float:
-    """|intersection| / |union| of the feature sets; 0 for two empty sets."""
-    for v in (x, y):
-        if len(v) > 0 and not np.all(v.weights == 1.0):
-            raise ValueError("jaccard similarity requires unit weights")
-    inter = _intersection_size(x, y)
-    union = len(x) + len(y) - inter
-    if union == 0:
-        return 0.0
-    return inter / union
-
-
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the entries of `rows`, and the index into `rows` owning each."""
     starts = indptr[rows]
@@ -316,7 +275,7 @@ def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _check_rows(corpus: Corpus, rows: np.ndarray) -> None:
-    """The vector checks of cosine_exact and jaccard_exact, for `rows` only.
+    """Exact similarity's checks on `rows` only: unit norm (cosine), unit weights (jaccard).
 
     Every vector is checked once per corpus, on the first call; later calls
     look the verdicts up.
@@ -344,8 +303,8 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     Pairs are grouped by i. Vector i is scattered into one dense array,
     the j vectors of each slice of its group are gathered from `flat()`,
     and their products are summed per pair, so working memory is bounded
-    by one slice. Cosine sums are clamped to [0, 1] as in `cosine_exact`;
-    jaccard sums are intersection sizes, as in `jaccard_exact`.
+    by one slice. Cosine sums are clamped to [0, 1]; jaccard sums are
+    intersection sizes, divided by the union size (0 for two empty sets).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     sims = np.zeros(len(pairs), dtype=np.float64)
@@ -492,9 +451,10 @@ def generate_synthetic(
     """Deterministic synthetic corpus with planted similar pairs.
 
     ``planted`` lists (pair-count, target-similarity) groups. Each planted
-    pair's exact similarity lands within 0.02 of its target; planted pairs
-    occupy the first consecutive index pairs (2k, 2k+1). The remaining
-    vectors are drawn with low mutual similarity. Same seed, same corpus.
+    pair's exact similarity lands within 0.02 of its target (checked in one
+    batch on the finished corpus); planted pairs occupy the first
+    consecutive index pairs (2k, 2k+1). The remaining vectors are drawn
+    with low mutual similarity. Same seed, same corpus.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -517,22 +477,13 @@ def generate_synthetic(
             goal = min(max(target + jitter, 0.02), 0.98)
             try:
                 if mode == COSINE_WEIGHTED:
-                    x, y = _planted_cosine_pair(rng, dim, goal, weighted=True)
-                    achieved = cosine_exact(x, y)
+                    vectors.extend(_planted_cosine_pair(rng, dim, goal, weighted=True))
                 elif mode == COSINE_BINARY:
-                    x, y = _planted_binary_cosine_pair(rng, dim, goal)
-                    achieved = cosine_exact(x, y)
+                    vectors.extend(_planted_binary_cosine_pair(rng, dim, goal))
                 else:
-                    x, y = _planted_jaccard_pair(rng, dim, goal)
-                    achieved = jaccard_exact(x, y)
+                    vectors.extend(_planted_jaccard_pair(rng, dim, goal))
             except ValueError as exc:
                 raise ValueError(f"planted group {group} (target {target}): {exc}") from exc
-            if abs(achieved - target) > 0.02:
-                raise ValueError(
-                    f"planted group {group} (target {target}): achieved {achieved:.4f}"
-                )
-            vectors.append(x)
-            vectors.append(y)
 
     lo = max(4, min(50, dim // 8))
     hi = max(lo + 2, min(100, dim // 6))
@@ -548,4 +499,11 @@ def generate_synthetic(
 
     width = max(4, len(str(n - 1)))
     ids = [f"v{i:0{width}d}" for i in range(n)]
-    return Corpus(ids, vectors, mode, dim=dim)
+    corpus = Corpus(ids, vectors, mode, dim=dim)
+    achieved = exact_similarities(corpus, np.arange(n_planted).reshape(-1, 2))
+    targets = [(group, target) for group, (count, target) in enumerate(planted)
+               for _ in range(count)]
+    for (group, target), sim in zip(targets, achieved.tolist()):
+        if abs(sim - target) > 0.02:
+            raise ValueError(f"planted group {group} (target {target}): achieved {sim:.4f}")
+    return corpus

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -139,6 +140,8 @@ class SignatureStore:
         self.seed = int(seed)
         self.n_objects = len(corpus)
         self.hashes_available = 0
+        # wall time spent hashing inside extend, summed over calls
+        self.extend_seconds = 0.0
         self._corpus = corpus
         self._lock = threading.Lock()
         if self.measure == "cosine":
@@ -171,6 +174,7 @@ class SignatureStore:
         with self._lock:
             if target <= self.hashes_available:
                 return
+            t0 = time.perf_counter()
             lo = self.hashes_available
             hi = min(-(-target // 64) * 64, -(-self.max_hashes // 64) * 64)
             if self.measure == "cosine":
@@ -178,6 +182,7 @@ class SignatureStore:
             else:
                 self._extend_jaccard(lo, hi)
             self.hashes_available = hi
+            self.extend_seconds += time.perf_counter() - t0
 
     def _extend_cosine(self, lo: int, hi: int) -> None:
         x = self._corpus.to_csr()
@@ -278,6 +283,7 @@ def read_signatures(path) -> SignatureStore:
     store.seed = seed
     store.n_objects = count
     store.hashes_available = available
+    store.extend_seconds = 0.0
     store._corpus = None
     store.family = None
     if store.measure == "cosine":

@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way: quadrature
 instead of scipy's incomplete beta, per-hash loops and one vector at a
 time instead of packed bits over the whole corpus, linear scans instead of
-binary searches, a dict-of-lists inverted index instead of a sorted join.
+binary searches, a dict-of-lists inverted index instead of a sorted join,
+and one pair at a time (`cosine_exact`, `jaccard_exact`,
+`verify_pair_loop`) instead of the package's batch kernels.
 Tests compare package output against these.
 """
 
@@ -150,6 +152,33 @@ def min_matches_linear(posterior, t: float, epsilon: float, n: int) -> int:
         if posterior.prune_prob(m, n, t) >= epsilon:
             return m
     return n + 1
+
+
+def cosine_exact(x, y) -> float:
+    """Cosine of two L2-normalized sparse vectors, clamped to [0, 1].
+
+    The dot product runs over x's features looked up in a dict of y's, and
+    is summed exactly rounded; a nonempty vector whose norm is off 1 by
+    more than 1e-6 raises the package's message.
+    """
+    for v in (x, y):
+        if len(v) > 0 and abs(v.norm() - 1.0) > 1e-6:
+            raise ValueError(f"vector norm {v.norm():.9f} deviates from 1")
+    weight_of = dict(zip(y.features.tolist(), y.weights.tolist()))
+    dot = math.fsum(
+        w * weight_of.get(f, 0.0) for f, w in zip(x.features.tolist(), x.weights.tolist())
+    )
+    return min(1.0, max(0.0, dot))
+
+
+def jaccard_exact(x, y) -> float:
+    """|intersection| / |union| of two feature sets; 0 for two empty sets."""
+    for v in (x, y):
+        if len(v) > 0 and not np.all(v.weights == 1.0):
+            raise ValueError("jaccard similarity requires unit weights")
+    xs, ys = set(x.features.tolist()), set(y.features.tolist())
+    union = len(xs | ys)
+    return len(xs & ys) / union if union else 0.0
 
 
 def dense_similarity(corpus) -> np.ndarray:

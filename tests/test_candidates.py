@@ -314,6 +314,20 @@ class TestCandidateIO:
         with pytest.raises(ValueError, match="truncated"):
             read_candidates(path)
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"BCND" + b"\x00" * 3)
+        with pytest.raises(ValueError, match="incomplete header"):
+            read_candidates(path)
+
+    def test_partial_pair_rejected(self, tmp_path):
+        path = tmp_path / "cands.bin"
+        write_candidates(bruteforce_generate(7), path)
+        # a whole count of u32 values, but not of (i, j) pairs
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ValueError, match="padded: 172 payload bytes"):
+            read_candidates(path)
+
     def test_oversized_indices_rejected(self, tmp_path):
         pairs = np.array([[0, 1 << 32]], dtype=np.int64)
         with pytest.raises(ValueError):

@@ -13,18 +13,16 @@ from bayeslsh.corpus import (
     JACCARD,
     Corpus,
     SparseVector,
-    cosine_exact,
     exact_similarities,
     exact_similarity,
     generate_synthetic,
-    jaccard_exact,
     load_corpus,
     serialize_corpus,
     similarity_matrix,
     tfidf_weight,
 )
 from bayeslsh.errors import ParseError
-from oracles import dense_similarity
+from oracles import cosine_exact, dense_similarity, jaccard_exact
 
 
 def _write(tmp_path, text, name="c.tsv"):

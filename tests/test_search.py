@@ -1,8 +1,10 @@
 """Verification strategies and the end-to-end search pipeline."""
 
+import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +39,7 @@ from bayeslsh.search import (
     results_to_tsv,
     run_search,
 )
-from oracles import min_matches_linear, verify_pair_loop
+from oracles import count_matches_loop, min_matches_linear, verify_pair_loop
 
 
 def _cosine_pair_corpus(sim: float) -> Corpus:
@@ -83,6 +85,12 @@ class TestSearchConfig:
             {"generator": "random"},
             {"verifier": "oracle"},
             {"parallel": 0},
+            {"max_hashes": 0},
+            {"max_hashes": -32},
+            {"max_hashes": 16, "batch_hashes": 32},
+            {"lite_hashes": -32},
+            {"fixed_hashes": 0},
+            {"fixed_hashes": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -103,10 +111,10 @@ class TestBayesVerifier:
         cfg = SearchConfig(measure, 0.7)
         store = SignatureStore(corpus, seed=3, max_hashes=cfg.max_hashes)
         posterior = inference.posterior_for_measure(measure)
-        verdict = BayesVerifier(store, posterior, cfg).verify_pair(0, 1)
-        assert not verdict.pruned
-        assert not verdict.low_confidence
-        assert verdict.estimate >= 1.0 - cfg.delta
+        verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+        assert verdict.pruned_at[0] == 0
+        assert not verdict.low_confidence[0]
+        assert verdict.estimate[0] >= 1.0 - cfg.delta
 
     def test_dissimilar_pair_pruned_quickly(self):
         corpus = _cosine_pair_corpus(0.1)
@@ -115,8 +123,8 @@ class TestBayesVerifier:
         fast = 0
         for seed in range(100):
             store = SignatureStore(corpus, seed=seed, max_hashes=cfg.max_hashes)
-            verdict = BayesVerifier(store, posterior, cfg).verify_pair(0, 1)
-            fast += verdict.pruned and verdict.pruned_at <= 128
+            verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+            fast += 0 < verdict.pruned_at[0] <= 128
         assert fast >= 99
 
     def test_trace_matches_direct_posterior_checks(self):
@@ -124,15 +132,23 @@ class TestBayesVerifier:
         cfg = SearchConfig("cosine", 0.7, max_hashes=1024)
         posterior = inference.posterior_for_measure("cosine")
         store = SignatureStore(corpus, seed=5, max_hashes=1024)
-        trace: list = []
-        verdict = BayesVerifier(store, posterior, cfg).verify_pair(0, 1, trace=trace)
+        verifier = BayesVerifier(store, posterior, cfg)
+        verdict = verifier.verify(np.array([[0, 1]]))
+        k, used, pruned_at = cfg.batch_hashes, verdict.hashes_used[0], verdict.pruned_at[0]
+        # (m, n, min_m) at every batch boundary the pair reached
+        trace = [
+            (count_matches_loop(store, 0, 1, 0, n), n, verifier.table.min_matches(n))
+            for n in range(k, used + 1, k)
+        ]
         assert trace
         for m, n, min_m in trace:
             assert min_m == min_matches_linear(posterior, cfg.threshold, cfg.epsilon, n)
             assert m == store.count_matches(0, 1, 0, n)
+        for m, n, min_m in trace[:-1]:
+            assert m >= min_m
         last_m, last_n, last_min = trace[-1]
-        if verdict.pruned:
-            assert last_m < last_min and verdict.pruned_at == last_n
+        if pruned_at:
+            assert last_m < last_min and pruned_at == last_n
         else:
             assert last_m >= last_min
 
@@ -144,9 +160,9 @@ class TestBayesVerifier:
             stops = {}
             for eps in (0.01, 0.1):
                 cfg = SearchConfig("cosine", 0.7, epsilon=eps)
-                verdict = BayesVerifier(store, posterior, cfg).verify_pair(0, 1)
-                assert verdict.pruned
-                stops[eps] = verdict.pruned_at
+                verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+                assert verdict.pruned_at[0] > 0
+                stops[eps] = verdict.pruned_at[0]
             assert stops[0.1] <= stops[0.01]
 
     def test_budget_exhaustion_flags_low_confidence(self):
@@ -155,11 +171,11 @@ class TestBayesVerifier:
         cfg = SearchConfig("jaccard", 0.5, gamma=1e-6, max_hashes=32)
         store = SignatureStore(corpus, seed=0, max_hashes=32)
         posterior = inference.posterior_for_measure("jaccard")
-        verdict = BayesVerifier(store, posterior, cfg).verify_pair(0, 1)
-        assert not verdict.pruned
-        assert verdict.low_confidence
-        assert verdict.hashes_used == 32
-        assert verdict.estimate == 1.0
+        verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+        assert verdict.pruned_at[0] == 0
+        assert verdict.low_confidence[0]
+        assert verdict.hashes_used[0] == 32
+        assert verdict.estimate[0] == 1.0
 
 
 class TestBatchVerifier:
@@ -370,6 +386,27 @@ class TestRunSearch:
         assert a.pairs == b.pairs
         assert a.stats.candidates == b.stats.candidates
 
+    def test_hashing_is_its_own_stage(self, small_cosine, monkeypatch):
+        # every hash extension sleeps, so hashing booked to the wrong stage shows
+        pause, calls = 0.05, []
+        extend = SignatureStore._extend_cosine
+
+        def slow(store, lo, hi):
+            calls.append(store)
+            time.sleep(pause)
+            extend(store, lo, hi)
+
+        monkeypatch.setattr(SignatureStore, "_extend_cosine", slow)
+        cfg = SearchConfig("cosine", 0.7, seed=small_cosine.seed, fresh_verification_hashes=True)
+        t0 = time.perf_counter()
+        timings = run_search(small_cosine.corpus, cfg).stats.timings
+        wall = time.perf_counter() - t0
+        assert list(timings) == ["signatures", "generation", "verification"]
+        assert len(set(map(id, calls))) == 2  # the banding and the verification store
+        assert timings["signatures"] >= pause * len(calls)
+        assert timings["generation"] >= 0 and timings["verification"] >= 0
+        assert wall - 0.05 < sum(timings.values()) <= wall
+
     def test_generate_candidates_dispatch(self, small_cosine):
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
         n = len(small_cosine.corpus)
@@ -418,6 +455,55 @@ def test_cosine_search_does_not_import_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.strip() == "False"
+
+
+# sha256 of results_to_tsv after run_search at t = 0.7 on the seed-0
+# acceptance corpora (cosine-weighted and jaccard); a change that alters
+# output on purpose updates these and lists the new digests in CHANGES.md
+_PINNED_TSV_SHA256 = {
+    ("cosine", "lsh", "bayeslsh"):
+        "e9bab8ffa4c2d9e2bd6b319d0205c6940a15a96c8f15a3511a94b0673826b57b",
+    ("cosine", "lsh", "bayeslsh-lite"):
+        "1f6f88a0461cb3fa9ca9a767c1002b2eeefd16ee0b24433b0a14b8ac57c159f7",
+    ("cosine", "lsh", "lsh-approx"):
+        "e4ec1e1077a9b46256630e962d0e6d817dbf601152970bb8470b04cab7727313",
+    ("cosine", "lsh", "exact"):
+        "7927ff2f15e87669cfbb6ab68bba3b2867e4081e6add14fe75b4dd5e716274a1",
+    ("cosine", "allpairs", "bayeslsh"):
+        "76eb2d45c881f3a40c877fa9d5addbbfec36847c6971d412612bdf30306c3f7a",
+    ("cosine", "allpairs", "bayeslsh-lite"):
+        "9c9eafbc9eeb2c277c8973f0288b69e6ac3599f5dcfbda020e5047e678ffac93",
+    ("cosine", "allpairs", "lsh-approx"):
+        "a1ba7123c93359b09282ea2c4d4d21283fe4b7ebbd55357c02fbda4a26be2da4",
+    ("cosine", "allpairs", "exact"):
+        "3ec462218e917cf8556786be9d30bd7ace02993c1c7e6226038235638d3d9403",
+    ("jaccard", "lsh", "bayeslsh"):
+        "ab15079c854ebe88235a9fcbdcbc74eff17721e8af1b619423202f0e7a6859a4",
+    ("jaccard", "lsh", "bayeslsh-lite"):
+        "08704642d4adf920dacc0a301dd90193c9ccbbe2870828bec599a8b1f19101cc",
+    ("jaccard", "lsh", "lsh-approx"):
+        "b6f4503867f3d0dd5f1d3c59b18b741776da4cedf4b76d37bdc7a869401b3cff",
+    ("jaccard", "lsh", "exact"):
+        "fbc0dfd3a3323fe1e270bad973d52dea06b51523b22c4bb2631105e147d88d33",
+    ("jaccard", "bruteforce", "bayeslsh"):
+        "d384a86c95fdef42c22bfbf4bde8f5177f183e7b09adb2934fc033d0d880967c",
+    ("jaccard", "bruteforce", "bayeslsh-lite"):
+        "b4e1b293dd1a396f48fe5c3ed65fa78aa1d27c6f987b436297a370dd5d14b2e7",
+}
+
+
+@pytest.fixture(scope="module")
+def jaccard_acceptance() -> CorpusBundle:
+    return CorpusBundle(0, mode=JACCARD)
+
+
+@pytest.mark.parametrize("measure, generator, verifier", list(_PINNED_TSV_SHA256))
+def test_results_tsv_digest_is_pinned(bundles, jaccard_acceptance, measure, generator, verifier):
+    corpus = bundles(0).corpus if measure == "cosine" else jaccard_acceptance.corpus
+    cfg = SearchConfig(measure, 0.7, generator=generator, verifier=verifier, seed=0)
+    tsv = results_to_tsv(corpus, run_search(corpus, cfg))
+    digest = hashlib.sha256(tsv.encode()).hexdigest()
+    assert digest == _PINNED_TSV_SHA256[measure, generator, verifier]
 
 
 class TestResultsToTsv:
