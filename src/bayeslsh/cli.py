@@ -46,6 +46,7 @@ class EvalReport:
     seed: int
     candidates: int
     exact_computed: int
+    hash_evals: int
     truth_pairs: int
     emitted: int
     true_positives: int
@@ -91,6 +92,7 @@ def evaluate_run(corpus: Corpus, result: search.SearchResult) -> EvalReport:
         seed=cfg.seed,
         candidates=result.stats.candidates,
         exact_computed=result.stats.exact_computed,
+        hash_evals=result.stats.hash_evals,
         truth_pairs=len(truth),
         emitted=len(emitted),
         true_positives=tp,

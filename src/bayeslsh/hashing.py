@@ -5,8 +5,13 @@ whose components are stored through a 2-byte fixed-point codec. Jaccard
 signatures are classical minwise hashes under a universal hash family
 (a*e + b) mod p with p = 2^31 - 1.
 
-Hash function i draws from its own seeded stream, so extending a signature
-never changes the hashes already produced (prefix stability).
+Hashes come in blocks of 64. The planes of cosine hashes 64b .. 64b+63 are
+drawn together from one seeded stream for block b, and minhash function i
+draws its parameters from a stream of its own. So hash i of a row depends
+only on the seed, the block i // 64, the position i % 64 in it, and the
+row: never on which other rows were hashed with it. Signatures grow by
+whole blocks, so extending one never changes the hashes already produced
+(prefix stability holds per 64-hash block).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .corpus import Corpus, is_cosine_mode, measure_for_mode
+from .corpus import Corpus, _entries, is_cosine_mode, measure_for_mode
 from .errors import GuardError
 
 MERSENNE_PRIME = (1 << 31) - 1
@@ -27,6 +32,9 @@ MERSENNE_PRIME = (1 << 31) - 1
 # center of its bin, so the worst-case decode error is 1/8192 < 1.25e-4.
 _CODEC_SCALE = 4096.0
 _CODEC_RANGE = 8.0
+
+# hashes per block: one plane draw, one packed word, one unit of extension
+_BLOCK = 64
 
 DEFAULT_MAX_BITS = 4096
 DEFAULT_MAX_INTS = 512
@@ -68,16 +76,28 @@ class CosineHashFamily:
         self.seed = int(seed)
         self.dim = int(dim)
 
-    def plane(self, index: int) -> np.ndarray:
-        """Gaussian plane for hash function `index`, codec round-tripped."""
-        raw = _function_rng(self.seed, index).standard_normal(self.dim)
-        return decode_gaussian_2byte(encode_gaussian_2byte(raw))
+    def block(self, b: int) -> np.ndarray:
+        """Planes of hashes 64b .. 64b+63 as the columns of one (dim, 64) array.
 
-    def planes(self, lo: int, hi: int) -> np.ndarray:
-        block = np.empty((hi - lo, self.dim), dtype=np.float64)
-        for k, i in enumerate(range(lo, hi)):
-            block[k] = self.plane(i)
-        return block
+        Components are codec round-tripped in place: z goes to the center
+        (floor(4096 z) + 0.5) / 4096 of its 2-byte bin, which is exactly
+        decode(encode(z)), with the same clamp to [-8, 8).
+        """
+        z = _function_rng(self.seed, b).standard_normal((self.dim, _BLOCK))
+        z *= _CODEC_SCALE
+        np.floor(z, out=z)
+        lo, hi = -_CODEC_RANGE * _CODEC_SCALE, _CODEC_RANGE * _CODEC_SCALE - 1
+        clipped = int(np.count_nonzero((z < lo) | (z > hi)))
+        if clipped:
+            warnings.warn(f"{clipped} component(s) outside [-8, 8) clamped")
+            np.clip(z, lo, hi, out=z)
+        z += 0.5
+        z /= _CODEC_SCALE
+        return z
+
+    def plane(self, index: int) -> np.ndarray:
+        """Gaussian plane for hash function `index`: a column of its block."""
+        return self.block(index // _BLOCK)[:, index % _BLOCK].copy()
 
 
 def scramble_ids(elems: np.ndarray) -> np.ndarray:
@@ -130,9 +150,11 @@ class SignatureStore:
     """Per-object hash signatures, extended in place up to a hard cap.
 
     Cosine rows are bit-packed into little-endian uint64 words; jaccard rows
-    hold uint32 minhash values. Internally, extension is carried out to the
-    next multiple of 64 hashes, so `hashes_available` always stays aligned
-    with the packed words and with any batch size dividing 64.
+    hold uint32 minhash values. Extension works in whole 64-hash blocks and
+    may cover only some rows: `row_hashes[v]` is the number of hashes row v
+    holds, and `hashes_available`, the prefix that every row holds, is what
+    banding and `band_values` read. `hash_evals` counts row x hash
+    evaluations over the store's life.
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
@@ -140,6 +162,8 @@ class SignatureStore:
         self.seed = int(seed)
         self.n_objects = len(corpus)
         self.hashes_available = 0
+        self.row_hashes = np.zeros(self.n_objects, dtype=np.int64)
+        self.hash_evals = 0
         # wall time spent hashing inside extend, summed over calls
         self.extend_seconds = 0.0
         self._corpus = corpus
@@ -156,14 +180,15 @@ class SignatureStore:
             if np.any(np.diff(indptr) == 0):
                 raise ValueError("minhash of an empty set is undefined")
             self._elems = self.family.prepare(features)
-            self._starts = indptr[:-1]
+            self._indptr = indptr
 
-    def extend(self, target: int) -> None:
-        """Grow every object's signature to at least `target` hashes.
+    def extend(self, target: int, rows: np.ndarray | None = None) -> None:
+        """Grow the signatures of `rows` (default: every object) to at least `target` hashes.
 
-        Safe to call from several threads: extension runs under a
-        lock, and `hashes_available` is bumped only after the new columns
-        are fully written.
+        `rows` holds distinct row indices. Only rows short of the target
+        are hashed, one 64-hash block at a time. Safe to call from several
+        threads: extension runs under a lock, and the hash counts are
+        bumped only after the new columns are fully written.
         """
         if target > self.max_hashes:
             raise GuardError(
@@ -172,52 +197,62 @@ class SignatureStore:
         if target <= self.hashes_available:
             return
         with self._lock:
-            if target <= self.hashes_available:
+            rows = np.arange(self.n_objects) if rows is None else np.asarray(rows, dtype=np.int64)
+            hi = min(-(-target // _BLOCK), -(-self.max_hashes // _BLOCK)) * _BLOCK
+            short = rows[self.row_hashes[rows] < hi]
+            if len(short) == 0:
                 return
             t0 = time.perf_counter()
-            lo = self.hashes_available
-            hi = min(-(-target // 64) * 64, -(-self.max_hashes // 64) * 64)
-            if self.measure == "cosine":
-                self._extend_cosine(lo, hi)
-            else:
-                self._extend_jaccard(lo, hi)
-            self.hashes_available = hi
+            hash_block = self._extend_cosine if self.measure == "cosine" else self._extend_jaccard
+            for b in range(int(self.row_hashes[short].min()) // _BLOCK, hi // _BLOCK):
+                need = short[self.row_hashes[short] <= b * _BLOCK]
+                hash_block(b, need)
+                self.row_hashes[need] = (b + 1) * _BLOCK
+                self.hash_evals += len(need) * _BLOCK
+            self.hashes_available = int(self.row_hashes.min(initial=hi))
             self.extend_seconds += time.perf_counter() - t0
 
-    def _extend_cosine(self, lo: int, hi: int) -> None:
+    def _extend_cosine(self, b: int, rows: np.ndarray) -> None:
+        """Hashes of block b for `rows`: signs of their projections onto its planes."""
         x = self._corpus.to_csr()
-        block = 256
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            planes = self.family.planes(start, stop)
-            proj = x @ planes.T
-            bits = (np.asarray(proj) >= 0.0).astype(np.uint8)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            pad = (-packed.shape[1]) % 8
-            if pad:
-                packed = np.pad(packed, ((0, 0), (0, pad)))
-            words = np.ascontiguousarray(packed).view(np.uint64)
-            self._words[:, start // 64 : start // 64 + words.shape[1]] = words
+        if len(rows) < self.n_objects:
+            x = x[rows]
+        bits = np.asarray(x @ self.family.block(b)) >= 0.0
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        self._words[rows, b] = packed.view(np.uint64)[:, 0]
 
-    def _extend_jaccard(self, lo: int, hi: int) -> None:
+    def _extend_jaccard(self, b: int, rows: np.ndarray) -> None:
+        """Hashes of block b for `rows`: minima over each row's own elements."""
+        elems, starts = self._elems, self._indptr[:-1]
+        if len(rows) < self.n_objects:
+            pos, _ = _entries(self._indptr, rows)
+            elems = elems[pos]
+            sizes = self._indptr[rows + 1] - self._indptr[rows]
+            starts = np.cumsum(sizes) - sizes
         prime = np.uint64(self.family.prime)
-        block = 64
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            a, b = self.family.params(start, stop)
-            for k in range(stop - start):
-                h = (a[k] * self._elems + b[k]) % prime
-                self._ints[:, start + k] = np.minimum.reduceat(h, self._starts).astype(np.uint32)
+        a, c = self.family.params(b * _BLOCK, (b + 1) * _BLOCK)
+        for k in range(_BLOCK):
+            h = (a[k] * elems + c[k]) % prime
+            self._ints[rows, b * _BLOCK + k] = np.minimum.reduceat(h, starts).astype(np.uint32)
 
     def count_matches(self, i: int, j: int, lo: int, hi: int) -> int:
         return int(self.count_matches_bulk(np.array([[i, j]]), lo, hi)[0])
 
     def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Match counts over [lo, hi) for an (M, 2) array of index pairs."""
-        if not 0 <= lo <= hi <= self.hashes_available:
-            raise ValueError(
-                f"hash range [{lo}, {hi}) not available (have {self.hashes_available})"
-            )
+        """Match counts over [lo, hi) for an (M, 2) array of index pairs.
+
+        Raises ValueError unless both rows of every pair hold [lo, hi).
+        """
+        if not 0 <= lo <= hi:
+            raise ValueError(f"hash range [{lo}, {hi}) is not a range of hash indices")
+        if hi > self.hashes_available:
+            held = self.row_hashes[pairs]
+            if len(held) and int(held.min()) < hi:
+                row = int(pairs.reshape(-1)[np.argmin(held)])
+                raise ValueError(
+                    f"hash range [{lo}, {hi}) not available for row {row}"
+                    f" (has {int(self.row_hashes[row])}; every row has {self.hashes_available})"
+                )
         left, right = pairs[:, 0], pairs[:, 1]
         if self.measure == "jaccard":
             eq = self._ints[left, lo:hi] == self._ints[right, lo:hi]
@@ -244,7 +279,11 @@ class SignatureStore:
 
 
 def write_signatures(store: SignatureStore, path) -> None:
-    """Dump signatures: magic, measure, count, hashes-available, seed + rows."""
+    """Dump signatures: magic, measure, count, hashes-available, seed + rows.
+
+    Only the prefix every row holds (`hashes_available`) is written; hashes
+    that some rows hold beyond it are left out.
+    """
     measure_code = 0 if store.measure == "cosine" else 1
     header = _SIG_MAGIC + struct.pack(
         "<BQQq", measure_code, store.n_objects, store.hashes_available, store.seed
@@ -283,6 +322,8 @@ def read_signatures(path) -> SignatureStore:
     store.seed = seed
     store.n_objects = count
     store.hashes_available = available
+    store.row_hashes = np.full(count, available, dtype=np.int64)
+    store.hash_evals = 0
     store.extend_seconds = 0.0
     store._corpus = None
     store.family = None

@@ -78,15 +78,24 @@ class SearchConfig:
         if self.batch_hashes < 1:
             raise ValueError("batch size must be >= 1")
         defaults = _MEASURE_DEFAULTS[self.measure]
-        for name in ("lite_hashes", "max_hashes", "fixed_hashes", "band_width"):
+        for name in ("max_hashes", "band_width"):
             if getattr(self, name) is None:
                 setattr(self, name, defaults[name])
-        if self.lite_hashes % self.batch_hashes != 0 or self.lite_hashes < 0:
-            raise ValueError("lite hash budget must be a non-negative multiple of the batch size")
+        # the default hash budgets shrink to fit a smaller cap; explicit ones must fit it
+        for name in ("lite_hashes", "fixed_hashes"):
+            if getattr(self, name) is None:
+                setattr(self, name, min(defaults[name], self.max_hashes))
         if self.max_hashes % self.batch_hashes != 0 or self.max_hashes < self.batch_hashes:
             raise ValueError("max hashes must be a positive multiple of the batch size")
+        if self.lite_hashes % self.batch_hashes != 0 or self.lite_hashes < 0:
+            raise ValueError("lite hash budget must be a non-negative multiple of the batch size")
         if self.fixed_hashes < 1:
             raise ValueError("fixed hashes must be >= 1")
+        for name in ("lite_hashes", "fixed_hashes"):
+            if getattr(self, name) > self.max_hashes:
+                raise ValueError(
+                    f"{name} {getattr(self, name)} exceeds max_hashes {self.max_hashes}"
+                )
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         if self.verifier not in VERIFIERS:
@@ -112,6 +121,8 @@ class SearchStats:
     emitted: int = 0
     # exact similarities computed: the prior-fit sample plus exact verification
     exact_computed: int = 0
+    # row x hash evaluations, summed over the banding and verification stores
+    hash_evals: int = 0
     survivors: dict[int, int] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
     prior: inference.BetaParams | None = None
@@ -156,8 +167,11 @@ class BayesVerifier:
     def verify(self, pairs: np.ndarray) -> Verdicts:
         """Algorithm: compare one batch at a time, prune or stop early.
 
-        Both decisions depend only on (m, n), so every live pair of a chunk
-        steps through the batch boundaries together.
+        Both decisions depend only on (m, n), so all live pairs step through
+        each batch boundary together: they are counted and decided one
+        chunk at a time, and only the survivors, with their match counts,
+        go on to the next batch. Before each batch the store is extended
+        once, to the rows that the live pairs still use.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         k = self.config.batch_hashes
@@ -167,23 +181,38 @@ class BayesVerifier:
             np.zeros(len(pairs), dtype=np.float64),
             np.zeros(len(pairs), dtype=bool),
         )
-        for lo in range(0, len(pairs), _CHUNK):
-            live = np.arange(lo, min(lo + _CHUNK, len(pairs)))
-            m = np.zeros(len(live), dtype=np.int64)
-            for n in range(k, self.budget + 1, k):
-                if len(live) == 0:
-                    break
-                self.store.extend(n)
-                m += self.store.count_matches_bulk(pairs[live], n - k, n)
-                pruned = m < self.table.min_matches(n)
-                v.pruned_at[live[pruned]] = n
-                v.hashes_used[live] = n
-                live, m = live[~pruned], m[~pruned]
-                concentrated, estimate = self._lookup(m, n)
-                v.estimate[live[concentrated]] = estimate[concentrated]
-                live, m = live[~concentrated], m[~concentrated]
-            v.estimate[live] = self._lookup(m, self.budget)[1]
-            v.low_confidence[live] = True
+        # None stands for every pair, so no index spans all the candidates
+        live, m = None, None
+        for n in range(k, self.budget + 1, k):
+            total = len(pairs) if live is None else len(live)
+            if total == 0:
+                break
+            if n > self.store.hashes_available:
+                rows = np.zeros(self.store.n_objects, dtype=bool)
+                rows[(pairs if live is None else pairs[live]).reshape(-1)] = True
+                self.store.extend(n, np.flatnonzero(rows))
+            kept, kept_m = [], []
+            for lo in range(0, total, _CHUNK):
+                hi = min(lo + _CHUNK, total)
+                if live is None:
+                    idx, c = np.arange(lo, hi), 0
+                else:
+                    idx, c = live[lo:hi], m[lo:hi]
+                c = c + self.store.count_matches_bulk(pairs[idx], n - k, n)
+                pruned = c < self.table.min_matches(n)
+                v.pruned_at[idx[pruned]] = n
+                v.hashes_used[idx] = n
+                idx, c = idx[~pruned], c[~pruned]
+                concentrated, estimate = self._lookup(c, n)
+                v.estimate[idx[concentrated]] = estimate[concentrated]
+                kept.append(idx[~concentrated])
+                kept_m.append(c[~concentrated])
+            live = np.concatenate(kept)
+            m = np.concatenate(kept_m)
+        if live is None:
+            live, m = np.arange(len(pairs)), np.zeros(len(pairs), dtype=np.int64)
+        v.estimate[live] = self._lookup(m, self.budget)[1]
+        v.low_confidence[live] = True
         return v
 
 
@@ -394,7 +423,9 @@ def run_search(corpus: Corpus, config: SearchConfig) -> SearchResult:
         out, stats = lsh_approx_run(corpus, pairs, config, verify_store, collect_stats=True)
     else:
         out, stats = exact_run(corpus, pairs, config, collect_stats=True)
-    signatures = sum(s.extend_seconds for s in {store, verify_store})
+    stores = {store, verify_store}
+    signatures = sum(s.extend_seconds for s in stores)
+    stats.hash_evals = sum(s.hash_evals for s in stores)
     stats.timings = {
         "signatures": signatures,
         "generation": generation - hashed,

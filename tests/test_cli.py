@@ -137,6 +137,17 @@ class TestSearch:
         assert code == 5
         assert "guard" in err
 
+    @pytest.mark.parametrize("budget", [["--verifier", "lsh-approx", "--fixed-hashes", "8192"],
+                                        ["--verifier", "bayeslsh-lite", "--lite-hashes", "8192"]])
+    def test_budget_above_hash_cap_is_usage_error(self, capsys, cosine_file, budget):
+        code, out, err = _run(
+            capsys,
+            ["search", str(cosine_file), "--mode", "cosine-weighted", "-t", "0.7", *budget],
+        )
+        assert code == 2
+        assert "exceeds max_hashes 4096" in err
+        assert out == ""
+
     def test_unknown_mode_rejected_by_parser(self, cosine_file):
         with pytest.raises(SystemExit) as exc:
             main(["search", str(cosine_file), "--mode", "euclid", "-t", "0.5"])
@@ -169,6 +180,7 @@ class TestEvalRoundTrip:
         assert set(report["timings"]) == {"signatures", "generation", "verification"}
         # cosine bayeslsh emits posterior estimates and computes no exact similarity
         assert report["exact_computed"] == 0
+        assert report["hash_evals"] > 0
 
     def test_check_eval_agrees(self, capsys, cosine_file, tmp_path):
         results, report = self._search_with_eval(capsys, cosine_file, tmp_path)

@@ -67,9 +67,14 @@ class TestFamilies:
 
     def test_plane_independent_of_block_shape(self):
         fam = CosineHashFamily(seed=4, dim=32)
-        block = fam.planes(0, 8)
-        for i in range(8):
-            np.testing.assert_array_equal(block[i], fam.plane(i))
+        for b in range(3):
+            block = fam.block(b)
+            assert block.shape == (32, 64) and block.flags.c_contiguous
+            # every component sits on a codec bin center
+            np.testing.assert_array_equal(decode_gaussian_2byte(encode_gaussian_2byte(block)), block)
+            for i in range(64 * b, 64 * (b + 1)):
+                np.testing.assert_array_equal(block[:, i % 64], fam.plane(i))
+        assert not np.array_equal(fam.block(0), fam.block(1))
 
     def test_minhash_params_in_range(self):
         fam = MinhashFamily(seed=2, universe=1000)
@@ -84,8 +89,8 @@ class TestFamilies:
         v = _unit([1, 10, 30], [0.5, 1.0, 2.0])
         bits = cosine_signature(fam, v, 0, 256).astype(bool)
         np.testing.assert_array_equal(bits, cosine_signature(fam, v, 0, 256).astype(bool))
-        planes = fam.planes(0, 256)
-        proj = planes[:, v.features] @ v.weights
+        planes = np.concatenate([fam.block(b) for b in range(4)], axis=1)
+        proj = planes[v.features].T @ v.weights
         np.testing.assert_array_equal(bits, proj >= 0.0)
         # negating the vector flips every non-tied bit (sign rule); exact
         # ties hash to 1 on both sides by the ">= 0" convention
@@ -224,6 +229,70 @@ class TestSignatureStore:
                 i, j, 10, 150
             )
 
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_dump_after_tail_extension_holds_the_common_prefix(self, mode, tmp_path):
+        _, store = self._store(mode)
+        store.extend(64)
+        store.extend(256, rows=np.array([0, 1, 5]))
+        path = tmp_path / "sigs.bin"
+        write_signatures(store, path)
+        loaded = read_signatures(path)
+        assert loaded.hashes_available == store.hashes_available == 64
+        np.testing.assert_array_equal(loaded.row_hashes, np.full(store.n_objects, 64))
+        np.testing.assert_array_equal(loaded.band_values(0, 64), store.band_values(0, 64))
+        assert loaded.count_matches(0, 1, 0, 64) == store.count_matches(0, 1, 0, 64)
+        store.count_matches(0, 1, 0, 256)
+        with pytest.raises(ValueError, match="not available"):
+            loaded.count_matches(0, 1, 0, 256)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_row_subset_extension_equals_full_extension(self, mode):
+        _, full = self._store(mode)
+        full.extend(320)
+        _, tail = self._store(mode)
+        # shrinking live rows, over steps that cross 64-hash blocks
+        steps = [(32, [0, 1, 2, 3, 5, 8]), (96, [1, 2, 5, 8]), (100, [2, 5]), (300, [5, 2])]
+        for target, rows in steps:
+            tail.extend(target, rows=np.array(rows))
+        held = {0: 64, 3: 64, 1: 128, 8: 128, 2: 320, 5: 320}
+        for row, count in held.items():
+            assert tail.row_hashes[row] == count
+            if mode == COSINE_WEIGHTED:
+                np.testing.assert_array_equal(
+                    tail._words[row, : count // 64], full._words[row, : count // 64]
+                )
+            else:
+                np.testing.assert_array_equal(tail._ints[row, :count], full._ints[row, :count])
+        assert tail.hashes_available == 0  # rows 4, 6, 7, 9, 10, 11 hold nothing
+        assert tail.hash_evals == int(tail.row_hashes.sum()) == 2 * 64 + 2 * 128 + 2 * 320
+        assert full.hash_evals == 12 * 320
+        assert tail.count_matches(2, 5, 0, 320) == full.count_matches(2, 5, 0, 320)
+        assert tail.count_matches(1, 8, 64, 128) == full.count_matches(1, 8, 64, 128)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_count_matches_rejects_a_row_without_the_range(self, mode):
+        _, store = self._store(mode)
+        store.extend(64)
+        store.extend(192, rows=np.array([0, 1]))
+        assert store.hashes_available == 64
+        store.count_matches_bulk(np.array([[0, 1], [1, 0]]), 64, 192)
+        for pair in ([0, 2], [2, 1], [3, 4]):
+            with pytest.raises(ValueError, match="not available for row"):
+                store.count_matches_bulk(np.array([[0, 1], pair]), 128, 192)
+        with pytest.raises(ValueError):
+            store.count_matches(0, 1, 0, 256)
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_extending_every_row_advances_the_common_prefix(self, mode):
+        _, store = self._store(mode)
+        store.extend(128, rows=np.arange(6))
+        assert store.hashes_available == 0
+        store.extend(128, rows=np.arange(6, 12))
+        assert store.hashes_available == 128
+        assert store.hash_evals == 12 * 128
+        store.extend(128)
+        assert store.hash_evals == 12 * 128
+
     def test_unknown_measure_code_rejected(self, tmp_path):
         _, store = self._store(COSINE_WEIGHTED)
         store.extend(64)
@@ -259,3 +328,32 @@ class TestSignatureStore:
         np.testing.assert_array_equal(
             racy.band_values(0, 1024), serial.band_values(0, 1024)
         )
+
+    def test_parallel_row_extension_is_consistent(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        corpus = generate_synthetic(30, 300, [(2, 0.8)], seed=6, mode=COSINE_WEIGHTED)
+        serial = SignatureStore(corpus, seed=6, max_hashes=1024)
+        serial.extend(1024)
+        racy = SignatureStore(corpus, seed=6, max_hashes=1024)
+        rng = np.random.default_rng(0)
+        jobs = [(int(t), np.sort(rng.choice(30, size=int(rng.integers(1, 30)), replace=False)))
+                for t in rng.integers(1, 1025, size=64)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(racy.extend, t, rows) for t, rows in jobs]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        want = np.zeros(30, dtype=np.int64)
+        for t, rows in jobs:
+            want[rows] = np.maximum(want[rows], -(-t // 64) * 64)
+        np.testing.assert_array_equal(racy.row_hashes, want)
+        assert racy.hash_evals == int(want.sum())
+        for row in range(30):
+            words = want[row] // 64
+            np.testing.assert_array_equal(racy._words[row, :words], serial._words[row, :words])

@@ -91,6 +91,10 @@ class TestSearchConfig:
             {"lite_hashes": -32},
             {"fixed_hashes": 0},
             {"fixed_hashes": -1},
+            {"lite_hashes": 8192},
+            {"fixed_hashes": 8192},
+            {"max_hashes": 64, "lite_hashes": 128},
+            {"max_hashes": 64, "fixed_hashes": 65},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -98,6 +102,15 @@ class TestSearchConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SearchConfig(**base)
+
+
+    def test_default_budgets_fit_a_smaller_cap(self):
+        cfg = SearchConfig("jaccard", 0.7, max_hashes=32)
+        assert (cfg.lite_hashes, cfg.fixed_hashes) == (32, 32)
+        cfg = SearchConfig("cosine", 0.7, max_hashes=96)
+        assert (cfg.lite_hashes, cfg.fixed_hashes) == (96, 96)
+        cfg = SearchConfig("cosine", 0.7, max_hashes=96, lite_hashes=64, fixed_hashes=96)
+        assert (cfg.lite_hashes, cfg.fixed_hashes) == (64, 96)
 
 
 class TestBayesVerifier:
@@ -206,6 +219,9 @@ class TestBatchVerifier:
         assert got.low_confidence.tolist() == [w[3] for w in want]
         # pairs leave at several batches, some pruned and some kept
         assert len(set(got.hashes_used.tolist())) >= 2
+        # the first batch's survivors come from several chunks and go on together
+        survivors = np.flatnonzero(got.hashes_used > cfg.batch_hashes)
+        assert len(np.unique(survivors // search._CHUNK)) >= 2
         assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
 
 
@@ -391,10 +407,10 @@ class TestRunSearch:
         pause, calls = 0.05, []
         extend = SignatureStore._extend_cosine
 
-        def slow(store, lo, hi):
+        def slow(store, b, rows):
             calls.append(store)
             time.sleep(pause)
-            extend(store, lo, hi)
+            extend(store, b, rows)
 
         monkeypatch.setattr(SignatureStore, "_extend_cosine", slow)
         cfg = SearchConfig("cosine", 0.7, seed=small_cosine.seed, fresh_verification_hashes=True)
@@ -406,6 +422,25 @@ class TestRunSearch:
         assert timings["signatures"] >= pause * len(calls)
         assert timings["generation"] >= 0 and timings["verification"] >= 0
         assert wall - 0.05 < sum(timings.values()) <= wall
+
+    def test_hash_evals_cover_only_live_rows(self, bundles):
+        corpus = bundles(0).corpus
+        cfg = SearchConfig("cosine", 0.7, seed=0)
+        store = SignatureStore(corpus, cfg.seed, cfg.max_hashes)
+        pairs = generate_candidates(corpus, cfg, store)
+        bayeslsh_run(corpus, pairs, cfg, store)
+        used = int(store.row_hashes.max())
+        assert store.hash_evals == int(store.row_hashes.sum())
+        assert store.hash_evals < len(corpus) * used
+        stats = run_search(corpus, cfg).stats
+        assert stats.hash_evals == store.hash_evals
+
+    def test_hash_evals_of_a_search_pruned_at_the_first_batch(self, jaccard_acceptance):
+        corpus = jaccard_acceptance.corpus
+        cfg = SearchConfig("jaccard", 0.7, generator="bruteforce", seed=0)
+        stats = run_search(corpus, cfg).stats
+        assert stats.survivors[cfg.batch_hashes] == 0
+        assert stats.hash_evals == len(corpus) * 64
 
     def test_generate_candidates_dispatch(self, small_cosine):
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
@@ -462,19 +497,19 @@ def test_cosine_search_does_not_import_scipy_stats():
 # output on purpose updates these and lists the new digests in CHANGES.md
 _PINNED_TSV_SHA256 = {
     ("cosine", "lsh", "bayeslsh"):
-        "e9bab8ffa4c2d9e2bd6b319d0205c6940a15a96c8f15a3511a94b0673826b57b",
+        "6f8b4a57dc7818636cb627f8218b4b4f50ffd8430d02ae706b5d34508bd6b4c0",
     ("cosine", "lsh", "bayeslsh-lite"):
-        "1f6f88a0461cb3fa9ca9a767c1002b2eeefd16ee0b24433b0a14b8ac57c159f7",
+        "28527b869cd98f04e24baa2d93ff1452d15edad9d1863cde960acb9ec86f8392",
     ("cosine", "lsh", "lsh-approx"):
-        "e4ec1e1077a9b46256630e962d0e6d817dbf601152970bb8470b04cab7727313",
+        "bc8397e795c1b887243cc31fd5bfd1dab831ab90e3355e51d978afd5a34b7af7",
     ("cosine", "lsh", "exact"):
-        "7927ff2f15e87669cfbb6ab68bba3b2867e4081e6add14fe75b4dd5e716274a1",
+        "7b6c7e55b781573f0f8ee2711e01b1f65604e6e4c90f0ae0f44809e6a8f09b5a",
     ("cosine", "allpairs", "bayeslsh"):
-        "76eb2d45c881f3a40c877fa9d5addbbfec36847c6971d412612bdf30306c3f7a",
+        "51233959ecde0c944067f0dc00a37189a9d5a70facab328c1dc91c1d7ec6c2ea",
     ("cosine", "allpairs", "bayeslsh-lite"):
-        "9c9eafbc9eeb2c277c8973f0288b69e6ac3599f5dcfbda020e5047e678ffac93",
+        "113f3329968ba0659bae56acfb6539d4b895d4df4bb4679a95649b61f94b388a",
     ("cosine", "allpairs", "lsh-approx"):
-        "a1ba7123c93359b09282ea2c4d4d21283fe4b7ebbd55357c02fbda4a26be2da4",
+        "c405cf0cdd38a3fa8e441bfcdc86aae0dd0d69460aca6c0ec447945fc313572e",
     ("cosine", "allpairs", "exact"):
         "3ec462218e917cf8556786be9d30bd7ace02993c1c7e6226038235638d3d9403",
     ("jaccard", "lsh", "bayeslsh"):
