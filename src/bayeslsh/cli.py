@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -57,6 +58,7 @@ class EvalReport:
     error_histogram: dict[str, int]
     survivors: dict[str, int]
     timings: dict[str, float]
+    load_seconds: float
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -72,11 +74,13 @@ def _error_histogram(errors: list[float]) -> dict[str, int]:
     return counts
 
 
-def evaluate_run(corpus: Corpus, result: search.SearchResult) -> EvalReport:
+def evaluate_run(corpus: Corpus, result: search.SearchResult,
+                 load_seconds: float = 0.0) -> EvalReport:
     """Score a run against exact all-pairs ground truth (quadratic cost).
 
     Error statistics cover every emitted pair, so the histogram buckets sum
     to the emitted count; exact-verifier pairs contribute zero error.
+    `load_seconds` is the wall time that reading the corpus took.
     """
     cfg = result.config
     sims = corpus_mod.similarity_matrix(corpus)
@@ -105,6 +109,7 @@ def evaluate_run(corpus: Corpus, result: search.SearchResult) -> EvalReport:
         error_histogram=_error_histogram(errors),
         survivors={str(k): v for k, v in result.stats.survivors.items()},
         timings={k: round(v, 6) for k, v in result.stats.timings.items()},
+        load_seconds=round(load_seconds, 6),
     )
 
 
@@ -166,7 +171,9 @@ def _load_for_search(args) -> Corpus:
 
 
 def _cmd_search(args) -> int:
+    start = time.perf_counter()
     corpus = _load_for_search(args)
+    load_seconds = time.perf_counter() - start
     config = _config_from_args(args)
     print(f"# effective seed: {config.seed}", file=sys.stderr)
     result = search.run_search(corpus, config)
@@ -177,7 +184,7 @@ def _cmd_search(args) -> int:
     else:
         sys.stdout.write(tsv)
     if args.eval is not None:
-        report = evaluate_run(corpus, result)
+        report = evaluate_run(corpus, result, load_seconds)
         if args.eval == "-":
             print(report.to_json())
         else:

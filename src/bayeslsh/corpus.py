@@ -9,6 +9,9 @@ of three measure modes:
 
 The text format is one vector per line, ``id<TAB>feature:weight ...`` in
 weighted mode and ``id<TAB>feature feature ...`` in the binary modes.
+A corpus keeps its vectors in three flat CSR arrays. The loader fills them
+a slice of lines at a time with array operations, and hands any slice it
+cannot prove clean to the per-line parser, which raises every ParseError.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from __future__ import annotations
 import gzip
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +35,7 @@ MODES = (COSINE_WEIGHTED, COSINE_BINARY, JACCARD)
 # load -> serialize -> load round trip reproduces weights bit for bit.
 _NORM_SKIP_TOL = 1e-12
 _NORM_CHECK_TOL = 1e-6
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 # generate_synthetic refuses corpora whose brute-force truth would be huge.
 _PAIR_GUARD = 10**8
@@ -38,6 +43,17 @@ _PAIR_GUARD = 10**8
 # pairs of one i-group scored together by exact_similarities; bounds the
 # gathered j entries to about this many vectors
 _EXACT_SLICE = 4096
+
+# Lines load_corpus parses together. The bulk parser's temporaries take
+# about 10x the slice's text, and memory they leave behind can raise the
+# peak RSS of the search that follows, so slices stay small: 512 lines of
+# 89 weighted entries are about 1.2 MB of text.
+_LOAD_SLICE = 1 << 9
+
+# The bulk parser accepts feature tokens of 1 to this many ASCII digits,
+# which cannot overflow int64, and in weighted mode these bytes only.
+_MAX_FEATURE_DIGITS = 18
+_WEIGHTED_BYTES = b"0123456789 :.eE+-"
 
 
 def is_cosine_mode(mode: str) -> bool:
@@ -71,6 +87,13 @@ class SparseVector:
             if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
                 raise ValueError("weights must be positive and finite")
 
+    @classmethod
+    def _view(cls, features: np.ndarray, weights: np.ndarray) -> SparseVector:
+        """A vector over arrays that already hold the invariants; not re-validated."""
+        vec = cls.__new__(cls)
+        vec.features, vec.weights = features, weights
+        return vec
+
     def __len__(self) -> int:
         return len(self.features)
 
@@ -79,67 +102,118 @@ class SparseVector:
 
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
-    nrm = math.sqrt(float(np.dot(weights, weights)))
-    if nrm == 0.0 or abs(nrm - 1.0) <= _NORM_SKIP_TOL:
+    """`weights` scaled to unit L2 norm; returned as is when empty or already unit.
+
+    A row whose sum of squares is not a normal finite float (it under- or
+    overflowed) is divided by its largest weight first. Every other row
+    takes the one-division path, so its weights do not change by a bit.
+    Callers silence the overflow warning of the first `np.dot`.
+    """
+    sq = float(np.dot(weights, weights))
+    if not _SMALLEST_NORMAL <= sq < math.inf:
+        if len(weights) == 0:
+            return weights
+        weights = weights / weights.max()
+        sq = float(np.dot(weights, weights))
+    nrm = math.sqrt(sq)
+    if abs(nrm - 1.0) <= _NORM_SKIP_TOL:
         return weights
     return weights / nrm
 
 
-@dataclass
+def _normalize_rows(indptr: np.ndarray, weights: np.ndarray) -> None:
+    """Normalize every CSR row of `weights` in place, one `_normalized` call per row."""
+    with np.errstate(over="ignore", under="ignore"):
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+            weights[a:b] = _normalized(weights[a:b])
+
+
+def _indptr(sizes: np.ndarray) -> np.ndarray:
+    indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    return indptr
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+
+def _flatten(vectors: list[SparseVector]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sizes, features, weights) of `vectors` laid end to end."""
+    sizes = np.fromiter(map(len, vectors), dtype=np.int64, count=len(vectors))
+    if not vectors:
+        return sizes, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    features = np.concatenate([v.features for v in vectors])
+    weights = np.concatenate([v.weights for v in vectors])
+    return sizes, features, weights
+
+
 class Corpus:
-    """Ordered vectors with unique string ids under one measure mode."""
+    """Ordered vectors with unique string ids under one measure mode.
 
-    ids: list[str]
-    vectors: list[SparseVector]
-    mode: str
-    dim: int | None = None
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
-    _failing: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _csr: object = field(default=None, repr=False, compare=False)
+    The vectors live in three flat arrays, CSR-style: vector i owns entries
+    indptr[i]:indptr[i + 1] of `features` and `weights`. `corpus[i]` and
+    `vectors` are SparseVector views of those arrays.
+    """
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.ids) != len(self.vectors):
+    def __init__(self, ids: list[str], vectors: list[SparseVector], mode: str,
+                 dim: int | None = None):
+        sizes, features, weights = _flatten(list(vectors))
+        self._init(ids, _indptr(sizes), features, weights, mode, dim)
+
+    @classmethod
+    def _from_flat(cls, ids: list[str], indptr: np.ndarray, features: np.ndarray,
+                   weights: np.ndarray, mode: str, dim: int | None = None) -> Corpus:
+        """A corpus over CSR arrays whose rows already hold SparseVector's invariants."""
+        corpus = cls.__new__(cls)
+        corpus._init(ids, indptr, features, weights, mode, dim)
+        return corpus
+
+    def _init(self, ids, indptr, features, weights, mode, dim) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        if len(ids) != len(indptr) - 1:
             raise ValueError("ids and vectors differ in length")
-        if len(set(self.ids)) != len(self.ids):
+        if len(set(ids)) != len(ids):
             raise ValueError("vector ids must be unique")
-        max_feature = -1
-        for v in self.vectors:
-            if len(v) > 0:
-                max_feature = max(max_feature, int(v.features[-1]))
-        if self.dim is None:
-            self.dim = max_feature + 1
-        elif self.dim <= max_feature:
-            raise ValueError(f"dim {self.dim} too small for feature {max_feature}")
-        if self.mode == JACCARD:
-            for vid, v in zip(self.ids, self.vectors):
-                if len(v) > 0 and not np.all(v.weights == 1.0):
-                    raise ValueError(f"vector {vid!r}: jaccard mode requires unit weights")
+        max_feature = int(features.max()) if len(features) else -1
+        if dim is None:
+            dim = max_feature + 1
+        elif dim <= max_feature:
+            raise ValueError(f"dim {dim} too small for feature {max_feature}")
+        if mode == JACCARD:
+            bad = np.flatnonzero(weights != 1.0)
+            if len(bad):
+                row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+                raise ValueError(f"vector {ids[row]!r}: jaccard mode requires unit weights")
+        self.ids = list(ids)
+        self.mode = mode
+        self.dim = dim
+        self.indptr, self.features, self.weights = indptr, features, weights
+        self._failing: np.ndarray | None = None
+        self._csr = None
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.ids)
 
     def __getitem__(self, i: int) -> SparseVector:
-        return self.vectors[i]
+        i = range(len(self))[i]
+        own = slice(self.indptr[i], self.indptr[i + 1])
+        return SparseVector._view(self.features[own], self.weights[own])
+
+    @property
+    def vectors(self) -> list[SparseVector]:
+        """Views of every vector in order; a new list on each access."""
+        return [self[i] for i in range(len(self))]
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, features, weights): the vectors concatenated CSR-style; cached.
+        """(indptr, features, weights): the corpus's own CSR arrays.
 
         Vector i owns entries indptr[i]:indptr[i + 1] of the other two.
         """
-        if self._flat is None:
-            indptr = np.zeros(len(self) + 1, dtype=np.int64)
-            sizes = np.fromiter((len(v) for v in self.vectors), dtype=np.int64, count=len(self))
-            np.cumsum(sizes, out=indptr[1:])
-            if len(self.vectors) > 0:
-                features = np.concatenate([v.features for v in self.vectors])
-                weights = np.concatenate([v.weights for v in self.vectors])
-            else:
-                features = np.zeros(0, dtype=np.int64)
-                weights = np.zeros(0, dtype=np.float64)
-            self._flat = (indptr, features, weights)
-        return self._flat
+        return self.indptr, self.features, self.weights
 
     def to_csr(self):
         """Corpus as a scipy CSR matrix of shape (len, dim) over `flat()`; cached."""
@@ -194,16 +268,18 @@ def _parse_entries(body: str, weighted: bool, lineno: int):
     return farr, warr
 
 
-def load_corpus(path, mode: str) -> Corpus:
-    """Read a corpus file (gzip transparent). Cosine modes are L2-normalized."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+def _parse_lines(lines, mode: str, first_lineno: int, seen: set[str]):
+    """Per-line parser: (ids, sizes, features, weights) of `lines`, numbered from `first_lineno`.
+
+    It takes any input the format allows and raises every ParseError with
+    its line number. `load_corpus` runs it on the slices the bulk parser
+    turns down, and the tests hold the bulk parser to it. New ids join `seen`.
+    """
     weighted = mode == COSINE_WEIGHTED
     ids: list[str] = []
-    seen: set[str] = set()
     vectors: list[SparseVector] = []
-    with _open_text(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with np.errstate(over="ignore", under="ignore"):
+        for lineno, raw in enumerate(lines, start=first_lineno):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
@@ -218,7 +294,135 @@ def load_corpus(path, mode: str) -> Corpus:
                 weights = _normalized(weights)
             ids.append(vid)
             vectors.append(SparseVector(features, weights))
-    return Corpus(ids, vectors, mode)
+    return ids, *_flatten(vectors)
+
+
+def _digits(u: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The integers spelt by u[starts[k]:ends[k]], or None unless each is 1-18 ASCII digits."""
+    lengths = ends - starts
+    if lengths.min() < 1 or lengths.max() > _MAX_FEATURE_DIGITS:
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    last = ends - 1
+    for k in range(int(lengths.max())):
+        digit = u[np.minimum(starts + k, last)] - 48  # uint8: bytes below '0' wrap high
+        if np.any(digit > 9):
+            return None
+        values = np.where(lengths > k, values * 10 + digit, values)
+    return values
+
+
+def _decimals(u: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Python's float() of every u[starts[k]:ends[k]], or None if one is not a number."""
+    lengths = ends - starts
+    if lengths.min() < 1:
+        return None
+    width = int(lengths.max())
+    padded = np.zeros((len(starts), width), dtype=np.uint8)
+    last = ends - 1
+    for k in range(width):
+        padded[:, k] = np.where(lengths > k, u[np.minimum(starts + k, last)], 0)
+    try:
+        return padded.view(f"S{width}").ravel().astype(np.float64)
+    except ValueError:
+        return None
+
+
+def _parse_tokens(joined: bytes, count: int, weighted: bool):
+    """(features, weights) of `count` single-space separated tokens, or None.
+
+    Tokens are plain digits, or in weighted mode digits ':' weight, where
+    the weight is one that float() reads, spelt from digits and '.eE+-'.
+    """
+    if count == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    u = np.frombuffer(joined, dtype=np.uint8)
+    spaces = np.flatnonzero(u == ord(" "))
+    starts = np.concatenate(([0], spaces + 1))
+    ends = np.append(spaces, len(u))
+    if not weighted:
+        features = _digits(u, starts, ends)
+        return None if features is None else (features, np.ones(count))
+    if joined.translate(None, _WEIGHTED_BYTES):
+        return None
+    colons = np.flatnonzero(u == ord(":"))
+    # exactly one colon per token: colon k lies inside token k
+    if len(colons) != count or np.any(colons < starts) or np.any(colons >= ends):
+        return None
+    features = _digits(u, starts, colons)
+    weights = None if features is None else _decimals(u, colons + 1, ends)
+    return None if weights is None else (features, weights)
+
+
+def _parse_bulk(lines: list[str], mode: str, seen: set[str]):
+    """(ids, sizes, features, weights) of `lines` parsed with array operations, or None.
+
+    It takes ASCII lines whose ids are non-empty and new, whose bodies are
+    tokens `_parse_tokens` reads, with no duplicate feature in a line and
+    positive finite weights. It returns None on anything else, and
+    `load_corpus` then runs the per-line parser, which loads the slice or
+    raises its ParseError. The ids join `seen` only on success.
+    """
+    data = "".join(lines).encode("utf-8")
+    if not data.isascii():
+        return None
+    ids: list[str] = []
+    bodies: list[bytes] = []
+    for line in data.split(b"\n"):
+        if line and not line.startswith(b"#"):
+            vid, _, body = line.partition(b"\t")
+            ids.append(vid.decode("ascii"))
+            bodies.append(body)
+    if not all(ids) or len(set(ids)) != len(ids) or not seen.isdisjoint(ids):
+        return None
+    sizes = np.array([body.count(b" ") + 1 if body else 0 for body in bodies], dtype=np.int64)
+    count = int(sizes.sum())
+    parsed = _parse_tokens(b" ".join(filter(None, bodies)), count, mode == COSINE_WEIGHTED)
+    if parsed is None:
+        return None
+    features, weights = parsed
+    if not np.all((weights > 0) & (weights < math.inf)):
+        return None
+    owner = np.repeat(np.arange(len(ids)), sizes)
+    inner = owner[1:] == owner[:-1]
+    if np.any(inner & (features[1:] <= features[:-1])):
+        order = np.lexsort((features, owner))
+        features, weights = features[order], weights[order]
+        if np.any(inner & (features[1:] == features[:-1])):
+            return None
+    if is_cosine_mode(mode):
+        _normalize_rows(_indptr(sizes), weights)
+        if not np.all(weights > 0):  # normalization underflowed
+            return None
+    seen.update(ids)
+    return ids, sizes, features, weights
+
+
+def load_corpus(path, mode: str) -> Corpus:
+    """Read a corpus file (gzip transparent). Cosine modes are L2-normalized.
+
+    Lines are parsed `_LOAD_SLICE` at a time, in bulk where `_parse_bulk`
+    accepts the slice and by the per-line parser otherwise, so errors and
+    their line numbers are the per-line parser's.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    ids: list[str] = []
+    seen: set[str] = set()
+    sizes, features, weights = [], [], []
+    lineno = 1
+    with _open_text(path, "r") as fh:
+        while lines := list(islice(fh, _LOAD_SLICE)):
+            part = _parse_bulk(lines, mode, seen) or _parse_lines(lines, mode, lineno, seen)
+            ids += part[0]
+            sizes.append(part[1])
+            features.append(part[2])
+            weights.append(part[3])
+            lineno += len(lines)
+    return Corpus._from_flat(
+        ids, _indptr(_concat(sizes, np.int64)), _concat(features, np.int64),
+        _concat(weights, np.float64), mode,
+    )
 
 
 def serialize_corpus(corpus: Corpus, path) -> None:
@@ -244,25 +448,22 @@ def tfidf_weight(corpus: Corpus) -> Corpus:
     if corpus.mode != COSINE_WEIGHTED:
         raise ValueError("tf-idf reweighting requires cosine-weighted mode")
     n = len(corpus)
-    df = np.bincount(corpus.flat()[1], minlength=corpus.dim)
+    indptr, features, weights = corpus.flat()
+    df = np.bincount(features, minlength=corpus.dim)
     idf = np.zeros(corpus.dim, dtype=np.float64)
     present = df > 0
     idf[present] = np.log(n / df[present])
-    emptied = 0
-    vectors = []
-    for vec in corpus.vectors:
-        w = vec.weights * idf[vec.features]
-        keep = w > 0
-        if not np.all(keep):
-            feats, w = vec.features[keep], w[keep]
-        else:
-            feats = vec.features
-        if len(feats) == 0 and len(vec) > 0:
-            emptied += 1
-        vectors.append(SparseVector(feats, _normalized(w)))
+    weights = weights * idf[features]
+    keep = weights > 0
+    sizes = np.diff(indptr)
+    kept = np.bincount(np.repeat(np.arange(n), sizes)[keep], minlength=n)
+    emptied = int(np.count_nonzero((sizes > 0) & (kept == 0)))
     if emptied:
         warnings.warn(f"tf-idf emptied {emptied} vector(s) (all features have df=N)")
-    return Corpus(list(corpus.ids), vectors, corpus.mode, dim=corpus.dim)
+    indptr, features, weights = _indptr(kept), features[keep], weights[keep]
+    _normalize_rows(indptr, weights)
+    return Corpus._from_flat(list(corpus.ids), indptr, features, weights, corpus.mode,
+                             dim=corpus.dim)
 
 
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

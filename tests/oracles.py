@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way: quadrature
 instead of scipy's incomplete beta, per-hash loops and one vector at a
 time instead of packed bits over the whole corpus, linear scans instead of
 binary searches, a dict-of-lists inverted index instead of a sorted join,
-and one pair at a time (`cosine_exact`, `jaccard_exact`,
-`verify_pair_loop`) instead of the package's batch kernels.
+one pair at a time (`cosine_exact`, `jaccard_exact`, `verify_pair_loop`)
+instead of the package's batch kernels, and one vector at a time
+(`tfidf_loop`) instead of flat arrays.
 Tests compare package output against these.
 """
 
@@ -292,3 +293,25 @@ def allpairs_loop(corpus, t: float) -> np.ndarray:
             ids.append(x)
             ws.append(float(w))
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def tfidf_loop(corpus) -> list[tuple[np.ndarray, np.ndarray]]:
+    """tf * ln(N/df) reweighting one vector at a time: (features, weights) per vector.
+
+    Entries whose weight becomes zero are dropped, and each vector is
+    renormalized on its own by the package's `_normalized`.
+    """
+    from bayeslsh.corpus import _normalized
+
+    n = len(corpus)
+    df = np.zeros(corpus.dim, dtype=np.int64)
+    for vec in corpus.vectors:
+        df[vec.features] += 1
+    idf = np.zeros(corpus.dim, dtype=np.float64)
+    idf[df > 0] = np.log(n / df[df > 0])
+    out = []
+    for vec in corpus.vectors:
+        w = vec.weights * idf[vec.features]
+        keep = w > 0
+        out.append((vec.features[keep], _normalized(np.ascontiguousarray(w[keep]))))
+    return out

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from bayeslsh import corpus as corpus_mod
 from bayeslsh.cli import main
+from bayeslsh.corpus import tfidf_weight
 
 
 def _run(capsys, argv):
@@ -181,6 +184,22 @@ class TestEvalRoundTrip:
         # cosine bayeslsh emits posterior estimates and computes no exact similarity
         assert report["exact_computed"] == 0
         assert report["hash_evals"] > 0
+
+    def test_load_seconds_times_the_load_with_tfidf(self, capsys, cosine_file, tmp_path,
+                                                    monkeypatch):
+        def slow_tfidf(corpus):
+            time.sleep(0.2)
+            return tfidf_weight(corpus)
+
+        monkeypatch.setattr(corpus_mod, "tfidf_weight", slow_tfidf)
+        report = tmp_path / "report.json"
+        code, _, _ = _run(
+            capsys,
+            ["search", str(cosine_file), "--mode", "cosine-weighted", "-t", "0.6",
+             "--tfidf", "-o", str(tmp_path / "results.tsv"), "--eval", str(report)],
+        )
+        assert code == 0
+        assert 0.2 <= json.loads(report.read_text())["load_seconds"] < 60
 
     def test_check_eval_agrees(self, capsys, cosine_file, tmp_path):
         results, report = self._search_with_eval(capsys, cosine_file, tmp_path)

@@ -11,6 +11,7 @@ from bayeslsh.corpus import (
     COSINE_BINARY,
     COSINE_WEIGHTED,
     JACCARD,
+    MODES,
     Corpus,
     SparseVector,
     exact_similarities,
@@ -22,13 +23,40 @@ from bayeslsh.corpus import (
     tfidf_weight,
 )
 from bayeslsh.errors import ParseError
-from oracles import cosine_exact, dense_similarity, jaccard_exact
+from conftest import ACCEPTANCE_PLANTED
+from oracles import cosine_exact, dense_similarity, jaccard_exact, tfidf_loop
 
 
 def _write(tmp_path, text, name="c.tsv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _per_line(path, mode):
+    """(ids, indptr, features, weights) of a file read by the per-line parser alone."""
+    with corpus_mod._open_text(path, "r") as fh:
+        ids, sizes, features, weights = corpus_mod._parse_lines(fh, mode, 1, set())
+    return ids, corpus_mod._indptr(sizes), features, weights
+
+
+def _outcome(parse, path, mode):
+    """What parsing `path` gives: the loaded arrays as lists, or the error raised."""
+    try:
+        got = parse(path, mode)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, Corpus):
+        got = (got.ids, *got.flat())
+    return got[0], *(a.tolist() for a in got[1:])
+
+
+def _assert_loads_equal(corpus, want):
+    ids, indptr, features, weights = want
+    assert corpus.ids == ids
+    for got, expected in zip(corpus.flat(), (indptr, features, weights)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
 
 
 def vec(*entries):
@@ -73,12 +101,68 @@ class TestLoadCorpus:
             ("a\t-1:1.0\n", 1),
             ("a\t1:0.0\n", 1),
             ("a\t1:1.0\na\t2:1.0\n", 2),
+            # hazards for the bulk parser only; lineno None: the file loads
+            ("a\t1e3:0.5\n", 1),
+            ("a\t+5:1\n", None),
+            ("a\t0x10:1\n", 1),
+            ("a\t5:0x1p3\n", 1),
+            ("a\t1_0:2\n", None),
+            ("a\t5:1_0\n", None),
+            ("a\t5:inf\n", 1),
+            ("a\t5:nan\n", 1),
+            ("a\t\uff11\uff12:1\n", None),
+            ("a\t1:1\t2:1\n", None),
+            ("a\t5:\t1\n", 1),
+            ("a\t1:1  2:1\n", None),
+            ("a\t1:1\r\nb\t2:1\r\n", None),
+            ("a\t1:1 \n", None),
+            ("a\t\nb\t2:1\n", None),
+            ("a\t7 3 7\n", 1),
         ],
     )
     def test_malformed_lines_report_line_number(self, tmp_path, text, lineno):
+        path = _write(tmp_path, text)
+        for mode in MODES:
+            assert _outcome(load_corpus, path, mode) == _outcome(_per_line, path, mode), mode
+        if lineno is None:
+            load_corpus(path, COSINE_WEIGHTED)
+            return
         with pytest.raises(ParseError) as exc:
-            load_corpus(_write(tmp_path, text), COSINE_WEIGHTED)
+            load_corpus(path, COSINE_WEIGHTED)
         assert f"line {lineno}" in str(exc.value)
+
+    def test_weight_that_normalizes_to_zero_raises_as_line_by_line(self, tmp_path):
+        path = _write(tmp_path, "a\t1:1\nb\t1:1e150 2:1e-200\n")
+        got = _outcome(load_corpus, path, COSINE_WEIGHTED)
+        assert got == _outcome(_per_line, path, COSINE_WEIGHTED)
+        assert got == (ValueError, "weights must be positive and finite")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bulk_load_equals_per_line_parser(self, tmp_path, seed, mode):
+        path = tmp_path / "corpus.tsv"
+        serialize_corpus(generate_synthetic(2000, 20000, ACCEPTANCE_PLANTED, seed, mode), path)
+        want = _per_line(path, mode)
+        _assert_loads_equal(load_corpus(path, mode), want)
+        if (seed, mode) == (0, JACCARD):
+            gz = tmp_path / "corpus.tsv.gz"
+            with gzip.open(gz, "wb") as fh:
+                fh.write(path.read_bytes())
+            _assert_loads_equal(load_corpus(gz, mode), want)
+
+    def test_fault_in_a_later_slice_reports_its_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_LOAD_SLICE", 4)
+        # slices hold file lines 1-4, 5-8, 9-12 and 13-14; line 11 is replaced
+        lines = ["# header", ""] + [f"v{k}\t{k}:1.5 {k + 1}:2" for k in range(12)]
+        clean = _write(tmp_path, "\n".join(lines) + "\n", name="clean.tsv")
+        _assert_loads_equal(load_corpus(clean, COSINE_WEIGHTED), _per_line(clean, COSINE_WEIGHTED))
+        for bad, message in (("v2\t3:1", "line 11: duplicate vector id 'v2'"),
+                             ("v7\t3:1", "line 11: duplicate vector id 'v7'"),
+                             ("x\t3:-1", "line 11: non-positive weight '-1'")):
+            path = _write(tmp_path, "\n".join(lines[:10] + [bad] + lines[11:]) + "\n")
+            with pytest.raises(ParseError) as exc:
+                load_corpus(path, COSINE_WEIGHTED)
+            assert str(exc.value) == message
 
     def test_weight_token_rejected_in_binary_mode(self, tmp_path):
         with pytest.raises(ParseError):
@@ -207,7 +291,7 @@ class TestExactSimilarities:
 
     def test_weighted_jaccard_row_raises(self):
         c = Corpus(["a", "b"], [vec(1, 2), vec(2, 3)], JACCARD)
-        c.vectors[1] = vec((2, 1.0), (3, 2.0))
+        c[1].weights[1] = 2.0  # a view: this writes into the corpus's flat weights
         with pytest.raises(ValueError, match="unit weights"):
             exact_similarities(c, [[0, 1]])
 
@@ -266,6 +350,16 @@ class TestTfidf:
         c = load_corpus(_write(tmp_path, "a\t1 2\n"), JACCARD)
         with pytest.raises(ValueError):
             tfidf_weight(c)
+
+    def test_flat_reweighting_equals_per_vector_loop(self):
+        c = generate_synthetic(300, 400, [(20, 0.8)], seed=4)
+        got = tfidf_weight(c)
+        want = tfidf_loop(c)
+        assert got.ids == c.ids and got.dim == c.dim
+        assert len(got) == len(want)
+        for vec_got, (features, weights) in zip(got.vectors, want):
+            np.testing.assert_array_equal(vec_got.features, features)
+            np.testing.assert_array_equal(vec_got.weights, weights)
 
 
 class TestGenerateSynthetic:

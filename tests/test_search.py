@@ -20,6 +20,7 @@ from bayeslsh.corpus import (
     SparseVector,
     exact_similarity,
     generate_synthetic,
+    load_corpus,
 )
 from bayeslsh.errors import UnsupportedMeasure
 from bayeslsh.hashing import SignatureStore
@@ -441,6 +442,17 @@ class TestRunSearch:
         stats = run_search(corpus, cfg).stats
         assert stats.survivors[cfg.batch_hashes] == 0
         assert stats.hash_evals == len(corpus) * 64
+
+    @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
+    def test_extreme_weight_scales_normalize_and_search_alike(self, tmp_path, scale):
+        # every true cosine is 0.5; the sums of squares of a and b under- or overflow
+        path = tmp_path / "c.tsv"
+        path.write_text(f"a\t1:{scale} 2:{scale}\nb\t1:{scale} 3:{scale}\nc\t2:1 3:1\n")
+        corpus = load_corpus(path, COSINE_WEIGHTED)
+        np.testing.assert_allclose([v.norm() for v in corpus.vectors], 1.0, rtol=0, atol=1e-12)
+        for generator in ("lsh", "allpairs", "bruteforce"):
+            result = run_search(corpus, SearchConfig("cosine", 0.3, generator=generator))
+            assert [(p.i, p.j) for p in result.pairs] == [(0, 1), (0, 2), (1, 2)], generator
 
     def test_generate_candidates_dispatch(self, small_cosine):
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
