@@ -75,7 +75,7 @@ def _error_histogram(errors: list[float]) -> dict[str, int]:
 
 
 def evaluate_run(corpus: Corpus, result: search.SearchResult,
-                 load_seconds: float = 0.0) -> EvalReport:
+                 load_seconds: float) -> EvalReport:
     """Score a run against exact all-pairs ground truth (quadratic cost).
 
     Error statistics cover every emitted pair, so the histogram buckets sum

@@ -313,5 +313,5 @@ def tfidf_loop(corpus) -> list[tuple[np.ndarray, np.ndarray]]:
     for vec in corpus.vectors:
         w = vec.weights * idf[vec.features]
         keep = w > 0
-        out.append((vec.features[keep], _normalized(np.ascontiguousarray(w[keep]))))
+        out.append((vec.features[keep], _normalized(w[keep])))
     return out
