@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -64,32 +65,43 @@ class EvalReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-def _error_histogram(errors: list[float]) -> dict[str, int]:
-    counts = dict.fromkeys((f"<={edge:g}" for edge in _HIST_EDGES), 0)
+def _score(corpus: Corpus, threshold: float, emitted: list[tuple[int, int, float]]) -> dict:
+    """EvalReport's quality fields for emitted (i, j, estimate) rows against exact truth.
+
+    Quadratic cost. Errors cover every emitted pair, so the histogram buckets
+    sum to the emitted count; exact pairs contribute zero error.
+    """
+    sims = corpus_mod.similarity_matrix(corpus)
+    iu = np.triu_indices(len(corpus), k=1)
+    above = sims[iu] > threshold
+    truth = set(zip(iu[0][above].tolist(), iu[1][above].tolist()))
+    pairs = {(i, j) for i, j, _ in emitted}
+    tp = len(truth & pairs)
+    errors = [abs(est - float(sims[i, j])) for i, j, est in emitted]
+    histogram = dict.fromkeys((f"<={edge:g}" for edge in _HIST_EDGES), 0)
     for err in errors:
         for edge in _HIST_EDGES:
             if err <= edge:
-                counts[f"<={edge:g}"] += 1
+                histogram[f"<={edge:g}"] += 1
                 break
-    return counts
+    return {
+        "truth_pairs": len(truth),
+        "emitted": len(pairs),
+        "true_positives": tp,
+        "false_negatives": len(truth) - tp,
+        "recall": tp / len(truth) if truth else 1.0,
+        "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
+        "frac_error_above_005": (
+            sum(1 for e in errors if e > 0.05) / len(errors) if errors else 0.0
+        ),
+        "error_histogram": histogram,
+    }
 
 
 def evaluate_run(corpus: Corpus, result: search.SearchResult,
                  load_seconds: float) -> EvalReport:
-    """Score a run against exact all-pairs ground truth (quadratic cost).
-
-    Error statistics cover every emitted pair, so the histogram buckets sum
-    to the emitted count; exact-verifier pairs contribute zero error.
-    `load_seconds` is the wall time that reading the corpus took.
-    """
+    """Score a run against exact all-pairs ground truth; `load_seconds` is the corpus read time."""
     cfg = result.config
-    sims = corpus_mod.similarity_matrix(corpus)
-    iu = np.triu_indices(len(corpus), k=1)
-    above = sims[iu] > cfg.threshold
-    truth = set(zip(iu[0][above].tolist(), iu[1][above].tolist()))
-    emitted = {(p.i, p.j) for p in result.pairs}
-    tp = len(truth & emitted)
-    errors = [abs(p.estimate - float(sims[p.i, p.j])) for p in result.pairs]
     return EvalReport(
         measure=cfg.measure,
         threshold=cfg.threshold,
@@ -97,16 +109,7 @@ def evaluate_run(corpus: Corpus, result: search.SearchResult,
         candidates=result.stats.candidates,
         exact_computed=result.stats.exact_computed,
         hash_evals=result.stats.hash_evals,
-        truth_pairs=len(truth),
-        emitted=len(emitted),
-        true_positives=tp,
-        false_negatives=len(truth) - tp,
-        recall=tp / len(truth) if truth else 1.0,
-        mean_abs_error=float(np.mean(errors)) if errors else 0.0,
-        frac_error_above_005=(
-            sum(1 for e in errors if e > 0.05) / len(errors) if errors else 0.0
-        ),
-        error_histogram=_error_histogram(errors),
+        **_score(corpus, cfg.threshold, [(p.i, p.j, p.estimate) for p in result.pairs]),
         survivors={str(k): v for k, v in result.stats.survivors.items()},
         timings={k: round(v, 6) for k, v in result.stats.timings.items()},
         load_seconds=round(load_seconds, 6),
@@ -117,55 +120,43 @@ def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("corpus", help="corpus file (gzip ok)")
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--threshold", "-t", type=float, required=True)
-    parser.add_argument("--epsilon", type=float, default=0.03,
-                        help="false-negative mass allowed per pair")
-    parser.add_argument("--delta", type=float, default=0.05,
-                        help="half-width of the accuracy interval")
-    parser.add_argument("--gamma", type=float, default=0.03,
-                        help="probability mass allowed outside the interval")
-    parser.add_argument("--batch-hashes", type=int, default=32)
-    parser.add_argument("--lite-hashes", type=int, default=None)
-    parser.add_argument("--max-hashes", type=int, default=None)
-    parser.add_argument("--fixed-hashes", type=int, default=None)
-    parser.add_argument("--band-width", type=int, default=None)
-    parser.add_argument("--fn-rate", type=float, default=0.03,
-                        help="candidate-generation false-negative rate for banding")
-    parser.add_argument("--generator", choices=search.GENERATORS, default="lsh")
-    parser.add_argument("--verifier", choices=search.VERIFIERS, default="bayeslsh")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--fresh-verification-hashes", action="store_true",
-                        help="verify with hashes independent of the banding ones")
-    parser.add_argument("--parallel", type=int, default=1,
-                        help="kept for compatibility: verification runs batch-synchronously"
-                        " in one thread and the value never changes output")
+    # SearchConfig holds every default: a field option left out is absent from args
+    add = functools.partial(parser.add_argument, default=argparse.SUPPRESS)
+    add("--epsilon", type=float,
+        help="false-negative mass allowed per pair")
+    add("--delta", type=float,
+        help="half-width of the accuracy interval")
+    add("--gamma", type=float,
+        help="probability mass allowed outside the interval")
+    add("--batch-hashes", type=int)
+    add("--lite-hashes", type=int)
+    add("--max-hashes", type=int)
+    add("--fixed-hashes", type=int)
+    add("--band-width", type=int)
+    add("--fn-rate", type=float,
+        help="candidate-generation false-negative rate for banding")
+    add("--generator", choices=search.GENERATORS)
+    add("--verifier", choices=search.VERIFIERS)
+    add("--seed", type=int)
+    add("--fresh-verification-hashes", action="store_true",
+        help="verify with hashes independent of the banding ones")
+    add("--parallel", type=int,
+        help="kept for compatibility: verification runs batch-synchronously"
+        " in one thread and the value never changes output")
     parser.add_argument("--tfidf", action="store_true",
                         help="tf-idf reweight a cosine-weighted corpus before searching")
 
 
 def _config_from_args(args) -> search.SearchConfig:
-    return search.SearchConfig(
-        measure=measure_for_mode(args.mode),
-        threshold=args.threshold,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        gamma=args.gamma,
-        batch_hashes=args.batch_hashes,
-        lite_hashes=args.lite_hashes,
-        max_hashes=args.max_hashes,
-        fixed_hashes=args.fixed_hashes,
-        band_width=args.band_width,
-        fn_rate=args.fn_rate,
-        generator=args.generator,
-        verifier=args.verifier,
-        seed=args.seed,
-        fresh_verification_hashes=args.fresh_verification_hashes,
-        parallel=args.parallel,
-    )
+    """The SearchConfig of the options given; every other field keeps its default."""
+    names = {f.name for f in dataclasses.fields(search.SearchConfig)}
+    given = {name: value for name, value in vars(args).items() if name in names}
+    return search.SearchConfig(measure=measure_for_mode(args.mode), **given)
 
 
 def _load_for_search(args) -> Corpus:
     corpus = corpus_mod.load_corpus(args.corpus, args.mode)
-    if getattr(args, "tfidf", False):
+    if args.tfidf:
         corpus = corpus_mod.tfidf_weight(corpus)
     return corpus
 
@@ -273,7 +264,7 @@ def _cmd_pruning_curve(args) -> int:
     return 0
 
 
-def _read_results_tsv(path) -> list[tuple[str, str, float, bool, bool]]:
+def _read_results_tsv(path) -> list[tuple[str, str, float]]:
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -283,9 +274,7 @@ def _read_results_tsv(path) -> list[tuple[str, str, float, bool, bool]]:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ParseError(f"expected 5 columns, got {len(parts)}", lineno)
-            rows.append(
-                (parts[0], parts[1], float(parts[2]), parts[3] == "1", parts[4] == "1")
-            )
+            rows.append((parts[0], parts[1], float(parts[2])))
     return rows
 
 
@@ -296,32 +285,11 @@ def _cmd_check_eval(args) -> int:
     rows = _read_results_tsv(args.results)
     index = {vid: k for k, vid in enumerate(corpus.ids)}
     try:
-        pairs = [(index[a], index[b]) for a, b, *_ in rows]
+        emitted = [(index[a], index[b], est) for a, b, est in rows]
     except KeyError as exc:
         raise ParseError(f"result id {exc.args[0]!r} not present in corpus") from exc
 
-    sims = corpus_mod.similarity_matrix(corpus)
-    iu = np.triu_indices(len(corpus), k=1)
-    above = sims[iu] > report["threshold"]
-    truth = set(zip(iu[0][above].tolist(), iu[1][above].tolist()))
-    emitted = set(pairs)
-    tp = len(truth & emitted)
-    errors = [
-        abs(est - float(sims[i, j]))
-        for (i, j), (_, _, est, _, _) in zip(pairs, rows)
-    ]
-    recomputed = {
-        "truth_pairs": len(truth),
-        "emitted": len(emitted),
-        "true_positives": tp,
-        "false_negatives": len(truth) - tp,
-        "recall": tp / len(truth) if truth else 1.0,
-        "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
-        "frac_error_above_005": (
-            sum(1 for e in errors if e > 0.05) / len(errors) if errors else 0.0
-        ),
-        "error_histogram": _error_histogram(errors),
-    }
+    recomputed = _score(corpus, report["threshold"], emitted)
     mismatches = []
     for key, value in recomputed.items():
         got = report.get(key)

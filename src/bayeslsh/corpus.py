@@ -292,6 +292,8 @@ def _parse_lines(lines, mode: str, first_lineno: int, seen: set[str]):
             features, weights = _parse_entries(body, weighted, lineno)
             if is_cosine_mode(mode):
                 weights = _normalized(weights)
+                if not np.all(weights > 0):
+                    raise ParseError("a weight underflows to 0 when normalized", lineno)
             ids.append(vid)
             vectors.append(SparseVector(features, weights))
     return ids, *_flatten(vectors)
@@ -567,8 +569,8 @@ def _positive_weights(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.gamma(2.0, 1.0, size=size) + 0.05
 
 
-def _planted_cosine_pair(rng, dim, target, weighted):
-    """Two vectors with exact cosine equal to target (disjoint tail support)."""
+def _planted_cosine_pair(rng, dim, target):
+    """Two weighted vectors with exact cosine equal to target (disjoint tail support)."""
     size = int(rng.integers(max(4, min(48, dim // 16)), max(6, min(96, dim // 8)) + 1))
     if 2 * size > dim:
         raise ValueError("dim too small for disjoint pair supports")
@@ -576,8 +578,8 @@ def _planted_cosine_pair(rng, dim, target, weighted):
     mix = rng.permutation(2 * size)
     fx = np.sort(support[mix[:size]])
     fe = np.sort(support[mix[size:]])
-    wx = _positive_weights(rng, size) if weighted else np.ones(size)
-    we = _positive_weights(rng, size) if weighted else np.ones(size)
+    wx = _positive_weights(rng, size)
+    we = _positive_weights(rng, size)
     wx = wx / np.linalg.norm(wx)
     we = we / np.linalg.norm(we)
     x = SparseVector(fx, wx)
@@ -588,58 +590,37 @@ def _planted_cosine_pair(rng, dim, target, weighted):
     return x, y
 
 
-def _planted_binary_cosine_pair(rng, dim, target):
-    """Two equal-size binary vectors sharing round(target*L) features."""
-    size = int(min(120, max(10, dim // 4)))
-    size = int(rng.integers(max(8, size - 20), size + 21))
-    shared = min(max(int(round(target * size)), 1), size - 1)
-    for _ in range(4):
-        if abs(shared / size - target) <= 0.02:
-            break
-        shared += 1 if shared / size < target else -1
-        shared = min(max(shared, 1), size - 1)
-    else:
-        raise ValueError("could not hit cosine target on this support size")
-    total = 2 * size - shared
-    if total > dim:
-        raise ValueError("dim too small for disjoint pair supports")
-    support = rng.choice(dim, size=total, replace=False)
-    fx = np.sort(np.concatenate([support[:shared], support[shared:size]]))
-    fy = np.sort(np.concatenate([support[:shared], support[size:]]))
-    unit = 1.0 / math.sqrt(size)
-    return (
-        SparseVector(fx, np.full(len(fx), unit)),
-        SparseVector(fy, np.full(len(fy), unit)),
-    )
+def _planted_set_pair(rng, dim, target, mode):
+    """Two equal-size sets whose overlap puts their similarity within 0.02 of target.
 
+    Cosine-binary sets carry the unit-norm weight 1/sqrt(size), jaccard sets 1.
+    """
+    cosine = mode == COSINE_BINARY
+    cap, floor, least = (120, 10, 8) if cosine else (160, 8, 6)
+    size = int(min(cap, max(floor, dim // 4)))
+    size = int(rng.integers(max(least, size - 20), size + 21))
 
-def _planted_jaccard_pair(rng, dim, target):
-    size = int(min(160, max(8, dim // 4)))
-    size = int(rng.integers(max(6, size - 20), size + 21))
-    shared = int(round(2 * size * target / (1.0 + target)))
-    shared = min(max(shared, 1), size - 1)
+    def achieved(shared):
+        return shared / size if cosine else shared / (2 * size - shared)
+
+    guess = target * size if cosine else 2 * size * target / (1.0 + target)
+    shared = min(max(int(round(guess)), 1), size - 1)
     # nudge the overlap until the achieved similarity is close enough
     for _ in range(4):
-        achieved = shared / (2 * size - shared)
-        if abs(achieved - target) <= 0.02:
+        if abs(achieved(shared) - target) <= 0.02:
             break
-        shared += 1 if achieved < target else -1
+        shared += 1 if achieved(shared) < target else -1
         shared = min(max(shared, 1), size - 1)
     else:
-        raise ValueError("could not hit jaccard target on this support size")
+        raise ValueError(f"could not hit {measure_for_mode(mode)} target on this support size")
     total = 2 * size - shared
     if total > dim:
         raise ValueError("dim too small for disjoint pair supports")
     support = rng.choice(dim, size=total, replace=False)
-    common = support[:shared]
-    only_x = support[shared:size]
-    only_y = support[size:]
-    fx = np.sort(np.concatenate([common, only_x]))
-    fy = np.sort(np.concatenate([common, only_y]))
-    return (
-        SparseVector(fx, np.ones(len(fx))),
-        SparseVector(fy, np.ones(len(fy))),
-    )
+    fx = np.sort(support[:size])
+    fy = np.sort(np.concatenate([support[:shared], support[size:]]))
+    weight = 1.0 / math.sqrt(size) if cosine else 1.0
+    return SparseVector(fx, np.full(size, weight)), SparseVector(fy, np.full(size, weight))
 
 
 def generate_synthetic(
@@ -678,11 +659,9 @@ def generate_synthetic(
             goal = min(max(target + jitter, 0.02), 0.98)
             try:
                 if mode == COSINE_WEIGHTED:
-                    vectors.extend(_planted_cosine_pair(rng, dim, goal, weighted=True))
-                elif mode == COSINE_BINARY:
-                    vectors.extend(_planted_binary_cosine_pair(rng, dim, goal))
+                    vectors.extend(_planted_cosine_pair(rng, dim, goal))
                 else:
-                    vectors.extend(_planted_jaccard_pair(rng, dim, goal))
+                    vectors.extend(_planted_set_pair(rng, dim, goal, mode))
             except ValueError as exc:
                 raise ValueError(f"planted group {group} (target {target}): {exc}") from exc
 
@@ -691,10 +670,8 @@ def generate_synthetic(
     while len(vectors) < n:
         size = int(rng.integers(lo, hi + 1))
         feats = _sample_support(rng, dim, size)
-        if mode == JACCARD:
-            weights = np.ones(size)
-        else:
-            weights = _positive_weights(rng, size) if mode == COSINE_WEIGHTED else np.ones(size)
+        weights = _positive_weights(rng, size) if mode == COSINE_WEIGHTED else np.ones(size)
+        if mode != JACCARD:
             weights = weights / np.linalg.norm(weights)
         vectors.append(SparseVector(feats, weights))
 

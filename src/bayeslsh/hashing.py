@@ -158,29 +158,39 @@ class SignatureStore:
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
-        self.measure = measure_for_mode(corpus.mode)
-        self.seed = int(seed)
-        self.n_objects = len(corpus)
-        self.hashes_available = 0
-        self.row_hashes = np.zeros(self.n_objects, dtype=np.int64)
-        self.hash_evals = 0
-        # wall time spent hashing inside extend, summed over calls
-        self.extend_seconds = 0.0
+        measure = measure_for_mode(corpus.mode)
+        if max_hashes is None:
+            max_hashes = DEFAULT_MAX_BITS if measure == "cosine" else DEFAULT_MAX_INTS
+        self._init(measure, seed, len(corpus), int(max_hashes), 0)
         self._corpus = corpus
-        self._lock = threading.Lock()
-        if self.measure == "cosine":
-            self.max_hashes = DEFAULT_MAX_BITS if max_hashes is None else int(max_hashes)
+        if measure == "cosine":
             self.family = CosineHashFamily(seed, corpus.dim)
-            self._words = np.zeros((self.n_objects, self.max_hashes // 64 + 1), dtype=np.uint64)
         else:
-            self.max_hashes = DEFAULT_MAX_INTS if max_hashes is None else int(max_hashes)
             self.family = MinhashFamily(seed, max(1, corpus.dim))
-            self._ints = np.zeros((self.n_objects, self.max_hashes + 63), dtype=np.uint32)
             indptr, features, _ = corpus.flat()
             if np.any(np.diff(indptr) == 0):
                 raise ValueError("minhash of an empty set is undefined")
             self._elems = self.family.prepare(features)
             self._indptr = indptr
+
+    def _init(self, measure: str, seed: int, n_objects: int, max_hashes: int, held: int) -> None:
+        """State of a store whose rows each hold `held` hashes, with no corpus to extend from."""
+        self.measure = measure
+        self.seed = int(seed)
+        self.n_objects = n_objects
+        self.max_hashes = max_hashes
+        self.hashes_available = held
+        self.row_hashes = np.full(n_objects, held, dtype=np.int64)
+        self.hash_evals = 0
+        # wall time spent hashing inside extend, summed over calls
+        self.extend_seconds = 0.0
+        self._corpus = None
+        self.family = None
+        self._lock = threading.Lock()
+        if measure == "cosine":
+            self._words = np.zeros((n_objects, max_hashes // 64 + 1), dtype=np.uint64)
+        else:
+            self._ints = np.zeros((n_objects, max_hashes + 63), dtype=np.uint32)
 
     def extend(self, target: int, rows: np.ndarray | None = None) -> None:
         """Grow the signatures of `rows` (default: every object) to at least `target` hashes.
@@ -317,23 +327,10 @@ def read_signatures(path) -> SignatureStore:
             f"signature file truncated or padded: {len(payload)} of {expected} payload bytes"
         )
     store = SignatureStore.__new__(SignatureStore)
-    store.measure = "cosine" if measure_code == 0 else "jaccard"
-    store._lock = threading.Lock()
-    store.seed = seed
-    store.n_objects = count
-    store.hashes_available = available
-    store.row_hashes = np.full(count, available, dtype=np.int64)
-    store.hash_evals = 0
-    store.extend_seconds = 0.0
-    store._corpus = None
-    store.family = None
+    store._init("cosine" if measure_code == 0 else "jaccard", seed, count, available, available)
     if store.measure == "cosine":
         words = -(-available // 64)
-        store.max_hashes = available
-        data = np.frombuffer(payload, dtype="<u8").reshape(count, words)
-        store._words = data.astype(np.uint64)
+        store._words[:, :words] = np.frombuffer(payload, dtype="<u8").reshape(count, words)
     else:
-        store.max_hashes = available
-        data = np.frombuffer(payload, dtype="<u4").reshape(count, available)
-        store._ints = data.astype(np.uint32)
+        store._ints[:, :available] = np.frombuffer(payload, dtype="<u4").reshape(count, available)
     return store

@@ -261,35 +261,36 @@ def _emit(corpus: Corpus, pairs: np.ndarray, keep: np.ndarray, config: SearchCon
     return out
 
 
+def _default_store(corpus: Corpus, config: SearchConfig,
+                   store: SignatureStore | None = None) -> SignatureStore:
+    """`store`, or a new one over `corpus` with the configured seed and hash cap."""
+    return SignatureStore(corpus, config.seed, config.max_hashes) if store is None else store
+
+
 def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
-                store: SignatureStore | None, prior: inference.BetaParams | None,
-                budget: int, exact: bool, collect_stats: bool):
+                store: SignatureStore | None, budget: int, exact: bool):
     """Prune on up to `budget` hashes, then emit posterior or exact estimates.
 
     An exact run with a zero budget hashes nothing and verifies every
-    candidate exactly.
+    candidate exactly. Jaccard runs fit their prior on the candidates.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    stats = SearchStats(candidates=len(pairs))
     verdicts = None
-    exact_computed = 0
     if budget or not exact:
-        if config.measure == "jaccard" and prior is None:
-            prior = fit_candidate_prior(corpus, pairs, config.seed)
-            exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
-        if store is None:
-            store = SignatureStore(corpus, config.seed, config.max_hashes)
-        posterior = inference.posterior_for_measure(config.measure, prior)
+        if config.measure == "jaccard":
+            stats.prior = fit_candidate_prior(corpus, pairs, config.seed)
+            stats.exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
+        posterior = inference.posterior_for_measure(config.measure, stats.prior)
+        store = _default_store(corpus, config, store)
         verdicts = BayesVerifier(store, posterior, config, budget).verify(pairs)
     keep = np.ones(len(pairs), dtype=bool) if verdicts is None else verdicts.pruned_at == 0
     if exact:
         out = _emit(corpus, pairs, keep, config, None)
-        exact_computed += int(np.count_nonzero(keep))
+        stats.exact_computed += int(np.count_nonzero(keep))
     else:
         out = _emit(corpus, pairs, keep, config, verdicts.estimate, verdicts.low_confidence)
-    if not collect_stats:
-        return out
-    stats = SearchStats(candidates=len(pairs), emitted=len(out),
-                        exact_computed=exact_computed, prior=prior)
+    stats.emitted = len(out)
     if verdicts is not None:
         stats.survivors = _survivor_counts(
             verdicts.pruned_at[~keep], len(pairs), config.batch_hashes, budget
@@ -302,11 +303,9 @@ def bayeslsh_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-    prior: inference.BetaParams | None = None,
-    collect_stats: bool = False,
-):
+) -> tuple[list[OutputPair], SearchStats]:
     """Verify candidates with posterior pruning and early-stopped estimates."""
-    return _verify_run(corpus, pairs, config, store, prior, config.max_hashes, False, collect_stats)
+    return _verify_run(corpus, pairs, config, store, config.max_hashes, False)
 
 
 def bayeslsh_lite_run(
@@ -314,16 +313,14 @@ def bayeslsh_lite_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-    prior: inference.BetaParams | None = None,
-    collect_stats: bool = False,
-):
+) -> tuple[list[OutputPair], SearchStats]:
     """Prune on a fixed hash budget, then verify survivors exactly.
 
     A zero budget skips hashing entirely and verifies every candidate.
     Emitted pairs carry their exact similarity and must clear the threshold
     strictly.
     """
-    return _verify_run(corpus, pairs, config, store, prior, config.lite_hashes, True, collect_stats)
+    return _verify_run(corpus, pairs, config, store, config.lite_hashes, True)
 
 
 def lsh_approx_run(
@@ -331,12 +328,10 @@ def lsh_approx_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-    collect_stats: bool = False,
-):
+) -> tuple[list[OutputPair], SearchStats]:
     """Fixed-hash-count maximum-likelihood estimates, no pruning."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if store is None:
-        store = SignatureStore(corpus, config.seed, config.max_hashes)
+    store = _default_store(corpus, config, store)
     n = config.fixed_hashes
     store.extend(n)
     estimate_of = inference.cosine_map if config.measure == "cosine" else inference.ml_estimate
@@ -347,8 +342,6 @@ def lsh_approx_run(
         looked = np.array([estimate_of(int(m), n) for m in distinct], dtype=np.float64)
         estimate[lo : lo + len(counts)] = looked[inverse]
     out = _emit(corpus, pairs, estimate >= config.threshold, config, estimate)
-    if not collect_stats:
-        return out
     return out, SearchStats(candidates=len(pairs), emitted=len(out))
 
 
@@ -356,10 +349,9 @@ def exact_run(
     corpus: Corpus,
     pairs: np.ndarray,
     config: SearchConfig,
-    collect_stats: bool = False,
-):
+) -> tuple[list[OutputPair], SearchStats]:
     """Exact similarity for every candidate; emit strictly above threshold."""
-    return _verify_run(corpus, pairs, config, None, None, 0, True, collect_stats)
+    return _verify_run(corpus, pairs, config, None, 0, True)
 
 
 def generate_candidates(
@@ -378,8 +370,7 @@ def generate_candidates(
     params = cand_mod.BandingParams.for_threshold(
         config.fn_rate, collide_at_t, config.band_width
     )
-    if store is None:
-        store = SignatureStore(corpus, config.seed, config.max_hashes)
+    store = _default_store(corpus, config, store)
     store.extend(params.hashes_needed)
     return cand_mod.lsh_banding_generate(store, params, seed=config.seed)
 
@@ -401,7 +392,7 @@ def run_search(corpus: Corpus, config: SearchConfig) -> SearchResult:
     # hashing inside SignatureStore.extend is booked to "signatures" and
     # taken out of the stage that triggered it, so the stages sum to the search
     t0 = time.perf_counter()
-    store = SignatureStore(corpus, config.seed, config.max_hashes)
+    store = _default_store(corpus, config)
     pairs = generate_candidates(corpus, config, store)
     generation = time.perf_counter() - t0
     hashed = store.extend_seconds
@@ -416,13 +407,13 @@ def run_search(corpus: Corpus, config: SearchConfig) -> SearchResult:
         verify_store = store
 
     if config.verifier == "bayeslsh":
-        out, stats = bayeslsh_run(corpus, pairs, config, verify_store, collect_stats=True)
+        out, stats = bayeslsh_run(corpus, pairs, config, verify_store)
     elif config.verifier == "bayeslsh-lite":
-        out, stats = bayeslsh_lite_run(corpus, pairs, config, verify_store, collect_stats=True)
+        out, stats = bayeslsh_lite_run(corpus, pairs, config, verify_store)
     elif config.verifier == "lsh-approx":
-        out, stats = lsh_approx_run(corpus, pairs, config, verify_store, collect_stats=True)
+        out, stats = lsh_approx_run(corpus, pairs, config, verify_store)
     else:
-        out, stats = exact_run(corpus, pairs, config, collect_stats=True)
+        out, stats = exact_run(corpus, pairs, config)
     stores = {store, verify_store}
     signatures = sum(s.extend_seconds for s in stores)
     stats.hash_evals = sum(s.hash_evals for s in stores)

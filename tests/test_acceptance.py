@@ -59,7 +59,7 @@ def recall_runs(bundles):
             store = bundle.store()
             pairs = generate_candidates(bundle.corpus, cfg, store)
             runner = bayeslsh_run if verifier == "bayeslsh" else bayeslsh_lite_run
-            cache[key] = runner(bundle.corpus, pairs, cfg, store=store)
+            cache[key], _ = runner(bundle.corpus, pairs, cfg, store=store)
         return cache[key]
 
     return get
@@ -233,7 +233,7 @@ def test_criterion_06_estimate_accuracy(bundles, recall_runs):
     frac_approx = {}
     for t in (0.5, 0.9):
         cfg = SearchConfig("cosine", t, generator="allpairs", verifier="lsh-approx", seed=0)
-        out = lsh_approx_run(bundle.corpus, bundle.allpairs(t), cfg, store=bundle.store())
+        out, _ = lsh_approx_run(bundle.corpus, bundle.allpairs(t), cfg, store=bundle.store())
         errs = [abs(p.estimate - float(bundle.sims[p.i, p.j])) for p in out]
         frac_approx[t] = sum(1 for e in errs if e > 0.05) / len(errs)
     ok = frac_bayes <= 0.06 and frac_approx[0.5] > frac_approx[0.9]
@@ -256,7 +256,7 @@ def test_criterion_07_pruning_curve():
 
     pairs = bruteforce_generate(len(corpus))
     cfg = SearchConfig("cosine", 0.7, generator="bruteforce", seed=21)
-    _, stats = bayeslsh_run(corpus, pairs, cfg, collect_stats=True)
+    _, stats = bayeslsh_run(corpus, pairs, cfg)
     total = len(pairs)
     pruned64 = 1.0 - stats.survivors[64] / total
     pruned256 = 1.0 - stats.survivors[256] / total
@@ -282,7 +282,7 @@ def test_criterion_08_parameter_sweeps(bundles):
             cfg = SearchConfig(
                 "cosine", 0.7, epsilon=eps, delta=delta, gamma=gamma, seed=0
             )
-            out = bayeslsh_run(bundle.corpus, cands, cfg, store=store)
+            out, _ = bayeslsh_run(bundle.corpus, cands, cfg, store=store)
             emitted = {(p.i, p.j) for p in out}
             errs = [abs(p.estimate - float(bundle.sims[p.i, p.j])) for p in out]
             cache[key] = {

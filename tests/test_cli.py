@@ -1,5 +1,7 @@
 """CLI behavior: output formats, round trips, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 
 from bayeslsh import corpus as corpus_mod
-from bayeslsh.cli import main
-from bayeslsh.corpus import tfidf_weight
+from bayeslsh.cli import _config_from_args, build_parser, main
+from bayeslsh.corpus import MODES, measure_for_mode, tfidf_weight
+from bayeslsh.search import SearchConfig
 
 
 def _run(capsys, argv):
@@ -61,6 +64,35 @@ class TestGen:
         )
         assert code == 2
         assert "COUNTxSIM" in err
+
+
+def _subparser(name):
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestSearchConfigOptions:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_options_left_out_keep_the_config_defaults(self, mode):
+        args = build_parser().parse_args(["search", "c.tsv", "--mode", mode, "-t", "0.7"])
+        assert _config_from_args(args) == SearchConfig(measure_for_mode(mode), 0.7)
+
+    @pytest.mark.parametrize("command", ["search", "pruning-curve"])
+    def test_every_config_field_but_measure_is_an_option(self, command):
+        dests = {action.dest for action in _subparser(command)._actions}
+        fields = {f.name for f in dataclasses.fields(SearchConfig)}
+        assert fields - dests == {"measure"}
+
+    def test_given_options_reach_their_fields(self):
+        args = build_parser().parse_args(
+            ["search", "c.tsv", "--mode", "jaccard", "-t", "0.6", "--epsilon", "0.1",
+             "--max-hashes", "256", "--verifier", "exact", "--seed", "9",
+             "--fresh-verification-hashes"]
+        )
+        assert _config_from_args(args) == SearchConfig(
+            "jaccard", 0.6, epsilon=0.1, max_hashes=256, verifier="exact", seed=9,
+            fresh_verification_hashes=True,
+        )
 
 
 class TestSearch:
@@ -114,6 +146,15 @@ class TestSearch:
         )
         assert code == 3
         assert "error:" in err
+
+    def test_weight_that_normalizes_to_zero_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "tiny.tsv"
+        path.write_text("a\t1:1\nb\t1:1e150 2:1e-200\n", encoding="utf-8")
+        code, _, err = _run(
+            capsys, ["search", str(path), "--mode", "cosine-weighted", "-t", "0.7"],
+        )
+        assert code == 3
+        assert "line 2:" in err
 
     def test_bad_threshold_is_usage_error(self, capsys, cosine_file):
         code, _, err = _run(

@@ -1,6 +1,7 @@
 """Corpus parsing, exact similarity, tf-idf, and synthetic generation."""
 
 import gzip
+import hashlib
 import math
 
 import numpy as np
@@ -135,7 +136,7 @@ class TestLoadCorpus:
         path = _write(tmp_path, "a\t1:1\nb\t1:1e150 2:1e-200\n")
         got = _outcome(load_corpus, path, COSINE_WEIGHTED)
         assert got == _outcome(_per_line, path, COSINE_WEIGHTED)
-        assert got == (ValueError, "weights must be positive and finite")
+        assert got == (ParseError, "line 2: a weight underflows to 0 when normalized")
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -362,6 +363,24 @@ class TestTfidf:
             np.testing.assert_array_equal(vec_got.weights, weights)
 
 
+_PINNED_PLANTED = [(10, 0.55), (10, 0.75), (10, 0.95)]
+
+# sha256 of serialize_corpus(generate_synthetic(300, 3000, _PINNED_PLANTED,
+# seed, mode)); a change that alters the synthetic corpora on purpose
+# updates these and says so in CHANGES.md
+_PINNED_CORPUS_SHA256 = {
+    ("cosine-weighted", 0): "067272bbc9d2ff8823aa6129c31949fe4f691b02e585d392d8968c1cd85bdec7",
+    ("cosine-weighted", 1): "6e2b9cbf5f855174082e72de6c30e9d60af0e862636d962ef35422f0b64ca487",
+    ("cosine-weighted", 2): "b82180983c87a945b9024d2775239ec8adaf52063cbe7c0b213003129258b805",
+    ("cosine-binary", 0): "b89e81181a868905c2f286425ae9f9955778932d71e4d6f1b090371b231311c4",
+    ("cosine-binary", 1): "3e25b259d19342fd9d9dbca4e182760a977d32e4d7429df975d2d95fd66b00c2",
+    ("cosine-binary", 2): "6ee1908080ec89db8e1afaab6fd7cd4a09e02487b52b9b74280d1bfdaade42f4",
+    ("jaccard", 0): "3f4254606d0309020b0366d481667c4df6ec39ce70cc4b7fecdff2f9657bd591",
+    ("jaccard", 1): "074d9cfb6cebddd640fa83072530ddf2ebead6fc42d7f62f0702e398de17967f",
+    ("jaccard", 2): "ba8ba853b129f24d6deb0e987668d8d49bfd4468679e3499548f6c3f96200331",
+}
+
+
 class TestGenerateSynthetic:
     def test_planted_cosine_targets(self):
         c = generate_synthetic(30, 400, [(10, 0.9)], seed=1, mode=COSINE_WEIGHTED)
@@ -390,6 +409,16 @@ class TestGenerateSynthetic:
                 tmp_path / name,
             )
         assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "two.tsv").read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_serialized_corpus_digest_is_pinned(self, tmp_path, mode, seed):
+        # the benchmark builds its corpora with generate_synthetic, so a
+        # change to any planted-pair or background draw shows up here
+        path = tmp_path / "c.tsv"
+        serialize_corpus(generate_synthetic(300, 3000, _PINNED_PLANTED, seed, mode), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == _PINNED_CORPUS_SHA256[mode, seed]
 
     def test_infeasible_target_names_group(self):
         with pytest.raises(ValueError, match="group"):

@@ -230,7 +230,7 @@ class TestRunners:
     def test_outputs_are_sorted_canonical_subset(self, small_cosine):
         pairs = small_cosine.allpairs(0.5)
         cfg = SearchConfig("cosine", 0.5, seed=small_cosine.seed)
-        out = bayeslsh_run(small_cosine.corpus, pairs, cfg, store=small_cosine.store())
+        out, _ = bayeslsh_run(small_cosine.corpus, pairs, cfg, store=small_cosine.store())
         keys = [(p.i, p.j) for p in out]
         assert keys == sorted(keys)
         assert all(p.i < p.j for p in out)
@@ -250,8 +250,7 @@ class TestRunners:
         pairs = np.array(sorted(small_jaccard.truth(0.0)), dtype=np.int64)[:2000]
         cfg = SearchConfig("jaccard", 0.6, seed=small_jaccard.seed)
         out, stats = bayeslsh_lite_run(
-            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(512),
-            collect_stats=True,
+            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(512)
         )
         assert stats.candidates == len(pairs)
         for p in out:
@@ -273,7 +272,7 @@ class TestRunners:
     def test_exact_run_equals_truth(self, small_cosine):
         pairs = small_cosine.allpairs(0.6)
         cfg = SearchConfig("cosine", 0.6, verifier="exact")
-        out = exact_run(small_cosine.corpus, pairs, cfg)
+        out, _ = exact_run(small_cosine.corpus, pairs, cfg)
         assert {(p.i, p.j) for p in out} == small_cosine.truth(0.6)
         for p in out:
             assert p.estimate == pytest.approx(small_cosine.sims[p.i, p.j], abs=1e-12)
@@ -282,7 +281,7 @@ class TestRunners:
         pairs = small_cosine.allpairs(0.5)
         cfg = SearchConfig("cosine", 0.5, fixed_hashes=512, seed=small_cosine.seed)
         store = small_cosine.store()
-        out = lsh_approx_run(small_cosine.corpus, pairs, cfg, store=store)
+        out, _ = lsh_approx_run(small_cosine.corpus, pairs, cfg, store=store)
         counts = store.count_matches_bulk(pairs, 0, 512)
         expected = []
         for (i, j), m in zip(pairs, counts):
@@ -297,7 +296,7 @@ class TestRunners:
         pairs = np.array(sorted(small_jaccard.truth(0.5)), dtype=np.int64)
         cfg = SearchConfig("jaccard", 0.5, fixed_hashes=256, seed=small_jaccard.seed)
         store = small_jaccard.store(512)
-        out = lsh_approx_run(small_jaccard.corpus, pairs, cfg, store=store)
+        out, _ = lsh_approx_run(small_jaccard.corpus, pairs, cfg, store=store)
         assert out
         for p in out:
             m = store.count_matches(p.i, p.j, 0, 256)
@@ -322,14 +321,14 @@ class TestExactComputed:
     def test_exact_run_counts_every_candidate(self, small_cosine):
         pairs = small_cosine.allpairs(0.6)
         cfg = SearchConfig("cosine", 0.6, verifier="exact")
-        _, stats = exact_run(small_cosine.corpus, pairs, cfg, collect_stats=True)
+        _, stats = exact_run(small_cosine.corpus, pairs, cfg)
         assert stats.exact_computed == len(pairs) > 0
 
     def test_cosine_bayeslsh_computes_none(self, small_cosine):
         pairs = small_cosine.allpairs(0.6)
         cfg = SearchConfig("cosine", 0.6, seed=small_cosine.seed)
         _, stats = bayeslsh_run(
-            small_cosine.corpus, pairs, cfg, store=small_cosine.store(), collect_stats=True
+            small_cosine.corpus, pairs, cfg, store=small_cosine.store()
         )
         assert stats.exact_computed == 0
 
@@ -338,7 +337,7 @@ class TestExactComputed:
         pairs = bruteforce_generate(len(small_jaccard.corpus))[:count]
         cfg = SearchConfig("jaccard", 0.7, seed=small_jaccard.seed)
         _, stats = bayeslsh_run(
-            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(), collect_stats=True
+            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store()
         )
         assert stats.exact_computed == min(search._PRIOR_SAMPLE_CAP, len(pairs))
 
@@ -346,7 +345,7 @@ class TestExactComputed:
         pairs = np.array(sorted(small_jaccard.truth(0.0)), dtype=np.int64)[:2000]
         cfg = SearchConfig("jaccard", 0.6, seed=small_jaccard.seed)
         _, stats = bayeslsh_lite_run(
-            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store(), collect_stats=True
+            small_jaccard.corpus, pairs, cfg, store=small_jaccard.store()
         )
         survivors = stats.survivors[cfg.lite_hashes]
         assert 0 < survivors < len(pairs)
