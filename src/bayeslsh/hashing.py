@@ -1,17 +1,20 @@
 """Locality-sensitive hash families and incremental signature storage.
 
 Cosine signatures are sign bits of projections onto random Gaussian planes
-whose components are stored through a 2-byte fixed-point codec. Jaccard
-signatures are classical minwise hashes under a universal hash family
-(a*e + b) mod p with p = 2^31 - 1.
+whose components are stored through a 2-byte fixed-point codec. A plane
+component is drawn as a uniform 2-byte code k and read from one fixed
+65,536-entry table: the equiprobable N(0, 1) quantile at (k + 0.5) / 65536,
+snapped to the center of its codec bin. Jaccard signatures are classical
+minwise hashes under a universal hash family (a*e + b) mod p with
+p = 2^31 - 1.
 
-Hashes come in blocks of 64. The planes of cosine hashes 64b .. 64b+63 are
-drawn together from one seeded stream for block b, and minhash function i
-draws its parameters from a stream of its own. So hash i of a row depends
-only on the seed, the block i // 64, the position i % 64 in it, and the
-row: never on which other rows were hashed with it. Signatures grow by
-whole blocks, so extending one never changes the hashes already produced
-(prefix stability holds per 64-hash block).
+Hashes come in blocks of 64. The codes of the planes of cosine hashes
+64b .. 64b+63 are drawn together from one seeded stream for block b, and
+minhash function i draws its parameters from a stream of its own. So hash i
+of a row depends only on the seed, the block i // 64, the position i % 64 in
+it, and the row: never on which other rows were hashed with it. Signatures
+grow by whole blocks, so extending one never changes the hashes already
+produced (prefix stability holds per 64-hash block).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import time
 import warnings
 
 import numpy as np
+from scipy.special import ndtri
 
 from .corpus import Corpus, _entries, is_cosine_mode, measure_for_mode
 from .errors import GuardError
@@ -65,6 +69,12 @@ def _function_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
+# plane component of code k: the N(0, 1) quantile at (k + 0.5) / 65536 at the
+# center of its codec bin. Sorted, antisymmetric (_TABLE[k] == -_TABLE[65535 - k])
+# and within +-4.33, so no component reaches the codec's clamp.
+_TABLE = decode_gaussian_2byte(encode_gaussian_2byte(ndtri((np.arange(65536) + 0.5) / 65536)))
+
+
 class CosineHashFamily:
     """Random-projection sign hashes over a fixed-dimension feature space."""
 
@@ -76,28 +86,25 @@ class CosineHashFamily:
         self.seed = int(seed)
         self.dim = int(dim)
 
+    def _codes(self, b: int) -> np.ndarray:
+        """Uniform 2-byte codes of block b's planes, one (dim, 64) uint16 array."""
+        rng = _function_rng(self.seed, b)
+        return rng.integers(0, 1 << 16, (self.dim, _BLOCK), dtype=np.uint16)
+
     def block(self, b: int) -> np.ndarray:
         """Planes of hashes 64b .. 64b+63 as the columns of one (dim, 64) array.
 
-        Components are codec round-tripped in place: z goes to the center
-        (floor(4096 z) + 0.5) / 4096 of its 2-byte bin, which is exactly
-        decode(encode(z)), with the same clamp to [-8, 8).
+        Each component is the table's Gaussian quantile for a uniform 2-byte
+        code, so it sits on a codec bin center: one uint16 draw and one gather.
         """
-        z = _function_rng(self.seed, b).standard_normal((self.dim, _BLOCK))
-        z *= _CODEC_SCALE
-        np.floor(z, out=z)
-        lo, hi = -_CODEC_RANGE * _CODEC_SCALE, _CODEC_RANGE * _CODEC_SCALE - 1
-        clipped = int(np.count_nonzero((z < lo) | (z > hi)))
-        if clipped:
-            warnings.warn(f"{clipped} component(s) outside [-8, 8) clamped")
-            np.clip(z, lo, hi, out=z)
-        z += 0.5
-        z /= _CODEC_SCALE
-        return z
+        return _TABLE[self._codes(b)]
 
     def plane(self, index: int) -> np.ndarray:
-        """Gaussian plane for hash function `index`: a column of its block."""
-        return self.block(index // _BLOCK)[:, index % _BLOCK].copy()
+        """Gaussian plane for hash function `index`: column index % 64 of its block.
+
+        Draws the block's codes but gathers only that column from the table.
+        """
+        return _TABLE[self._codes(index // _BLOCK)[:, index % _BLOCK]]
 
 
 def scramble_ids(elems: np.ndarray) -> np.ndarray:

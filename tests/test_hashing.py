@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from bayeslsh.corpus import (
     COSINE_WEIGHTED,
     JACCARD,
     Corpus,
     SparseVector,
+    exact_similarities,
     generate_synthetic,
 )
 from bayeslsh.errors import GuardError
 from bayeslsh.hashing import (
+    _TABLE,
     CosineHashFamily,
     MinhashFamily,
     SignatureStore,
@@ -76,6 +79,24 @@ class TestFamilies:
                 np.testing.assert_array_equal(block[:, i % 64], fam.plane(i))
         assert not np.array_equal(fam.block(0), fam.block(1))
 
+    def test_plane_table_is_the_snapped_gaussian_quantiles(self):
+        assert _TABLE.shape == (65536,)
+        assert np.all(np.diff(_TABLE) >= 0)
+        np.testing.assert_array_equal(_TABLE, -_TABLE[::-1])
+        np.testing.assert_array_equal(decode_gaussian_2byte(encode_gaussian_2byte(_TABLE)), _TABLE)
+        assert float(np.max(np.abs(_TABLE))) < 4.33
+        assert abs(float(np.var(_TABLE)) - 1.0) <= 1e-3
+        # discrete CDF against Phi at every codec bin edge
+        edges = np.arange(65537) / 4096.0 - 8.0
+        cdf = np.searchsorted(_TABLE, edges) / 65536
+        bound = 1 / 65536 + 1 / 4096 / np.sqrt(2 * np.pi)
+        assert float(np.max(np.abs(cdf - ndtr(edges)))) <= bound
+
+    def test_block_components_are_table_entries(self):
+        fam = CosineHashFamily(seed=11, dim=500)
+        for b in (0, 7):
+            assert np.all(np.isin(fam.block(b), _TABLE))
+
     def test_minhash_params_in_range(self):
         fam = MinhashFamily(seed=2, universe=1000)
         a, b = fam.params(0, 64)
@@ -126,6 +147,35 @@ class TestCollisionLaw:
         by = cosine_signature(fam, y, 0, self.H)
         frac = float(np.mean(bx == by))
         assert abs(frac - 0.5) <= 0.01
+
+    def test_sparse_high_dim_cosine_pairs_follow_the_law(self):
+        # the benchmark's regime: dim 20,000, about 90 entries per vector
+        dim, nnz, hashes = 20_000, 90, 10_048
+        rng = np.random.default_rng(31)
+        targets = [0.3, 0.7, 0.9]
+        vecs = []
+        for s in targets:
+            # x = a u + b v and y = a u + b w over disjoint supports of 45
+            # entries each, with unit u, v, w, so cos(x, y) = a^2 = s
+            feats = rng.choice(dim, size=3 * (nnz // 2), replace=False).reshape(3, -1)
+            parts = rng.uniform(0.5, 1.5, feats.shape)
+            parts /= np.linalg.norm(parts, axis=1, keepdims=True)
+            a, b = np.sqrt(s), np.sqrt(1 - s)
+            for k in (1, 2):
+                f = np.concatenate([feats[0], feats[k]])
+                w = np.concatenate([a * parts[0], b * parts[k]])
+                order = np.argsort(f)
+                vecs.append(SparseVector(f[order], w[order]))
+        corpus = Corpus([f"v{k}" for k in range(len(vecs))], vecs, COSINE_WEIGHTED, dim=dim)
+        store = SignatureStore(corpus, seed=32, max_hashes=hashes)
+        store.extend(hashes)
+        pairs = np.array([(2 * k, 2 * k + 1) for k in range(len(targets))])
+        sims = exact_similarities(corpus, pairs)
+        np.testing.assert_allclose(sims, targets, atol=1e-9)
+        rate = store.count_matches_bulk(pairs, 0, hashes) / hashes
+        p = 1 - np.arccos(sims) / np.pi
+        sigma = np.sqrt(p * (1 - p) / hashes)
+        assert np.all(np.abs(rate - p) <= 4 * sigma), (rate, p, sigma)
 
     def test_minhash_third(self):
         fam = MinhashFamily(seed=22, universe=10)

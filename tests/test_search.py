@@ -508,19 +508,19 @@ def test_cosine_search_does_not_import_scipy_stats():
 # output on purpose updates these and lists the new digests in CHANGES.md
 _PINNED_TSV_SHA256 = {
     ("cosine", "lsh", "bayeslsh"):
-        "6f8b4a57dc7818636cb627f8218b4b4f50ffd8430d02ae706b5d34508bd6b4c0",
+        "310b42062c7c66c70b166245b4fe407a36a66fd76839e16343654f81d10a4a46",
     ("cosine", "lsh", "bayeslsh-lite"):
-        "28527b869cd98f04e24baa2d93ff1452d15edad9d1863cde960acb9ec86f8392",
+        "5ec8a7448ce31d85f946c04e2382fe133595aff29ceb32d9faba93d8d8e9051b",
     ("cosine", "lsh", "lsh-approx"):
-        "bc8397e795c1b887243cc31fd5bfd1dab831ab90e3355e51d978afd5a34b7af7",
+        "4fcf95eedabbc1a8024967f19d476f83ff672eb601cbed673826d7ea08a013b2",
     ("cosine", "lsh", "exact"):
-        "7b6c7e55b781573f0f8ee2711e01b1f65604e6e4c90f0ae0f44809e6a8f09b5a",
+        "85dd2a491bf1e7097d72d9dfdcd754aadeaef152dc4b7d1ffca2adf444877474",
     ("cosine", "allpairs", "bayeslsh"):
-        "51233959ecde0c944067f0dc00a37189a9d5a70facab328c1dc91c1d7ec6c2ea",
+        "b566b40e371fc8e0d4518a65f8046c954a0a6744f9f0c1d82a47471c7ee05381",
     ("cosine", "allpairs", "bayeslsh-lite"):
-        "113f3329968ba0659bae56acfb6539d4b895d4df4bb4679a95649b61f94b388a",
+        "cec297a3392f897b14a8eeacce5e549e95a20ca68ad6132a34d04877ed9c5432",
     ("cosine", "allpairs", "lsh-approx"):
-        "c405cf0cdd38a3fa8e441bfcdc86aae0dd0d69460aca6c0ec447945fc313572e",
+        "3515db7f01c306e345d65df1307d6e25c6c5d3b1f9377f16dcbce996263caa51",
     ("cosine", "allpairs", "exact"):
         "3ec462218e917cf8556786be9d30bd7ace02993c1c7e6226038235638d3d9403",
     ("jaccard", "lsh", "bayeslsh"):
