@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, _entries, is_cosine_mode
+from .corpus import Corpus, _entries, _unique_ints, is_cosine_mode
 from .errors import GuardError, UnsupportedMeasure
 from .hashing import SignatureStore
 
@@ -61,18 +61,6 @@ class BandingParams:
     @property
     def hashes_needed(self) -> int:
         return self.band_width * self.tables
-
-
-def _unique_ints(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values: np.unique's result from one sort and one mask.
-
-    np.unique on 1-d integers hashes before it sorts and measured 10-45x
-    slower than this on the banding and prefix-index candidate arrays.
-    """
-    values = np.sort(values)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def _pairs_from_keys(keys: list[np.ndarray], n: int) -> np.ndarray:

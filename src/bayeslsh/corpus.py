@@ -40,9 +40,9 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 # generate_synthetic refuses corpora whose brute-force truth would be huge.
 _PAIR_GUARD = 10**8
 
-# pairs of one i-group scored together by exact_similarities; bounds the
-# gathered j entries to about this many vectors
-_EXACT_SLICE = 4096
+# float64 entries of one dense block of exact_similarities (2 MB), so a
+# block takes max(1, _EXACT_BLOCK // len(corpus)) distinct i rows
+_EXACT_BLOCK = 1 << 18
 
 # Lines load_corpus parses together. The bulk parser's temporaries take
 # about 10x the slice's text, and memory they leave behind can raise the
@@ -468,6 +468,18 @@ def tfidf_weight(corpus: Corpus) -> Corpus:
                              dim=corpus.dim)
 
 
+def _unique_ints(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: np.unique's result from one sort and one mask.
+
+    np.unique on 1-d integers hashes before it sorts and measured 10-45x
+    slower than this on the banding and prefix-index candidate arrays.
+    """
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the entries of `rows`, and the index into `rows` owning each."""
     starts = indptr[rows]
@@ -503,11 +515,14 @@ def _check_rows(corpus: Corpus, rows: np.ndarray) -> None:
 def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     """Exact similarity of every (i, j) row of `pairs`, in input order.
 
-    Pairs are grouped by i. Vector i is scattered into one dense array,
-    the j vectors of each slice of its group are gathered from `flat()`,
-    and their products are summed per pair, so working memory is bounded
-    by one slice. Cosine sums are clamped to [0, 1]; jaccard sums are
-    intersection sizes, divided by the union size (0 for two empty sets).
+    Pairs are sorted by i and cut into blocks of at most
+    max(1, _EXACT_BLOCK // len(corpus)) distinct i rows. Each block is one
+    sparse product of its i rows with its distinct j rows, read out dense,
+    so working memory is bounded by the block. SciPy adds each pair's
+    products w_i * w_j in ascending feature order from 0, the order of a
+    per-pair scatter/gather. Cosine sums are clamped to [0, 1]; jaccard
+    sums are intersection sizes, divided by the union size (0 for two
+    empty sets).
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     sims = np.zeros(len(pairs), dtype=np.float64)
@@ -516,24 +531,20 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     if pairs.min() < 0 or pairs.max() >= len(corpus):
         raise IndexError(f"pair index out of range for {len(corpus)} vectors")
     _check_rows(corpus, pairs.ravel())
-    indptr, features, weights = corpus.flat()
+    x = corpus.to_csr()
     order = np.argsort(pairs[:, 0], kind="stable")
     left, right = pairs[order, 0], pairs[order, 1]
-    bounds = [0, *(np.flatnonzero(left[1:] != left[:-1]) + 1).tolist(), len(pairs)]
-    dense = np.zeros(corpus.dim, dtype=np.float64)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        own = slice(indptr[left[start]], indptr[left[start] + 1])
-        dense[features[own]] = weights[own]
-        for lo in range(start, stop, _EXACT_SLICE):
-            hi = min(lo + _EXACT_SLICE, stop)
-            pos, owner = _entries(indptr, right[lo:hi])
-            sims[order[lo:hi]] = np.bincount(
-                owner, weights=dense[features[pos]] * weights[pos], minlength=hi - lo
-            )
-        dense[features[own]] = 0.0
+    starts = np.concatenate(([0], np.flatnonzero(left[1:] != left[:-1]) + 1))
+    cuts = [*starts[:: max(1, _EXACT_BLOCK // len(corpus))].tolist(), len(pairs)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows, cols = _unique_ints(left[lo:hi]), _unique_ints(right[lo:hi])
+        block = (x[rows] @ x[cols].T).toarray()
+        sims[order[lo:hi]] = block[
+            np.searchsorted(rows, left[lo:hi]), np.searchsorted(cols, right[lo:hi])
+        ]
     if is_cosine_mode(corpus.mode):
         return np.clip(sims, 0.0, 1.0, out=sims)
-    sizes = np.diff(indptr)
+    sizes = np.diff(corpus.indptr)
     union = sizes[pairs[:, 0]] + sizes[pairs[:, 1]] - sims
     return np.divide(sims, union, out=np.zeros_like(sims), where=union > 0)
 

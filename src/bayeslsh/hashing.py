@@ -19,6 +19,7 @@ produced (prefix stability holds per 64-hash block).
 
 from __future__ import annotations
 
+import functools
 import struct
 import threading
 import time
@@ -69,10 +70,17 @@ def _function_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-# plane component of code k: the N(0, 1) quantile at (k + 0.5) / 65536 at the
-# center of its codec bin. Sorted, antisymmetric (_TABLE[k] == -_TABLE[65535 - k])
-# and within +-4.33, so no component reaches the codec's clamp.
-_TABLE = decode_gaussian_2byte(encode_gaussian_2byte(ndtri((np.arange(65536) + 0.5) / 65536)))
+@functools.cache
+def _table() -> np.ndarray:
+    """Plane component of each 2-byte code, built on the first cosine block.
+
+    Entry k is the N(0, 1) quantile at (k + 0.5) / 65536 at the center of
+    its codec bin. Sorted, antisymmetric (entry k == -entry 65535 - k) and
+    within +-4.33, so no component reaches the codec's clamp.
+    """
+    table = decode_gaussian_2byte(encode_gaussian_2byte(ndtri((np.arange(65536) + 0.5) / 65536)))
+    table.flags.writeable = False  # one array shared by every caller
+    return table
 
 
 class CosineHashFamily:
@@ -97,14 +105,14 @@ class CosineHashFamily:
         Each component is the table's Gaussian quantile for a uniform 2-byte
         code, so it sits on a codec bin center: one uint16 draw and one gather.
         """
-        return _TABLE[self._codes(b)]
+        return _table()[self._codes(b)]
 
     def plane(self, index: int) -> np.ndarray:
         """Gaussian plane for hash function `index`: column index % 64 of its block.
 
         Draws the block's codes but gathers only that column from the table.
         """
-        return _TABLE[self._codes(index // _BLOCK)[:, index % _BLOCK]]
+        return _table()[self._codes(index // _BLOCK)[:, index % _BLOCK]]
 
 
 def scramble_ids(elems: np.ndarray) -> np.ndarray:

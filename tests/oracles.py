@@ -4,8 +4,8 @@ Everything here is deliberately written the slow, obvious way: quadrature
 instead of scipy's incomplete beta, per-hash loops and one vector at a
 time instead of packed bits over the whole corpus, linear scans instead of
 binary searches, a dict-of-lists inverted index instead of a sorted join,
-one pair at a time (`cosine_exact`, `jaccard_exact`, `verify_pair_loop`)
-instead of the package's batch kernels, and one vector at a time
+one pair at a time (`cosine_exact`, `jaccard_exact`, `exact_scatter_loop`,
+`verify_pair_loop`) instead of the package's batch kernels, and one vector at a time
 (`tfidf_loop`) instead of flat arrays.
 Tests compare package output against these.
 """
@@ -180,6 +180,34 @@ def jaccard_exact(x, y) -> float:
     xs, ys = set(x.features.tolist()), set(y.features.tolist())
     union = len(xs | ys)
     return len(xs & ys) / union if union else 0.0
+
+
+def exact_scatter_loop(corpus, pairs) -> np.ndarray:
+    """Exact similarities of `pairs` by a dense scatter of i and a gather of j, pair by pair.
+
+    Each sum adds the products w_i * w_j over j's features in ascending
+    order, starting from 0, so it is the float that `exact_similarities`
+    must give bit for bit. Cosine sums are clamped to [0, 1]; jaccard sums
+    are divided by the union size (0 for two empty sets).
+    """
+    indptr, features, weights = corpus.flat()
+    sizes = np.diff(indptr)
+    dense = np.zeros(corpus.dim)
+    sims = []
+    for i, j in np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist():
+        own_i, own_j = slice(indptr[i], indptr[i + 1]), slice(indptr[j], indptr[j + 1])
+        dense[features[own_i]] = weights[own_i]
+        total = 0.0
+        for product in (dense[features[own_j]] * weights[own_j]).tolist():
+            total += product
+        dense[features[own_i]] = 0.0
+        if corpus.mode == "jaccard":
+            union = sizes[i] + sizes[j] - total
+            total = total / union if union > 0 else 0.0
+        else:
+            total = min(1.0, max(0.0, total))
+        sims.append(total)
+    return np.array(sims, dtype=np.float64)
 
 
 def dense_similarity(corpus) -> np.ndarray:

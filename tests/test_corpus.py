@@ -25,7 +25,13 @@ from bayeslsh.corpus import (
 )
 from bayeslsh.errors import ParseError
 from conftest import ACCEPTANCE_PLANTED
-from oracles import cosine_exact, dense_similarity, jaccard_exact, tfidf_loop
+from oracles import (
+    cosine_exact,
+    dense_similarity,
+    exact_scatter_loop,
+    jaccard_exact,
+    tfidf_loop,
+)
 
 
 def _write(tmp_path, text, name="c.tsv"):
@@ -252,16 +258,19 @@ def _reference(mode):
 
 
 class TestExactSimilarities:
-    @pytest.mark.parametrize("slice_pairs", [4096, 7])
+    # blocks of 1 row, of 3 rows, and one block for all 40 rows (4096 // 40)
+    @pytest.mark.parametrize("block", [7, 120, 4096])
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, COSINE_BINARY, JACCARD])
-    def test_batch_equals_per_pair_reference(self, mode, slice_pairs, monkeypatch):
-        monkeypatch.setattr(corpus_mod, "_EXACT_SLICE", slice_pairs)
+    def test_batch_equals_per_pair_reference(self, mode, block, monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_EXACT_BLOCK", block)
         c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
+        # every (i, j) with i <= j, so self pairs too
         pairs = np.stack(np.triu_indices(len(c)), axis=1)
         # reversed (j, i) rows and duplicated rows, in shuffled order
         pairs = np.concatenate([pairs, pairs[:, ::-1], pairs[:60]])
         pairs = pairs[np.random.default_rng(5).permutation(len(pairs))]
         got = exact_similarities(c, pairs)
+        np.testing.assert_array_equal(got, exact_scatter_loop(c, pairs))
         want = [_reference(mode)(c[i], c[j]) for i, j in pairs]
         if mode == JACCARD:
             np.testing.assert_array_equal(got, want)
@@ -269,12 +278,17 @@ class TestExactSimilarities:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_empty_vectors(self, mode):
+    def test_empty_vectors(self, mode, monkeypatch):
         full = vec((1, 0.6), (2, 0.8)) if mode == COSINE_WEIGHTED else vec(1, 2)
         c = Corpus(["e", "f", "x"], [vec(), vec(), full], mode)
         pairs = [[0, 1], [1, 0], [0, 0], [0, 2], [2, 1], [2, 2]]
-        got = exact_similarities(c, pairs)
-        assert got[0] == 0.0
+        want = exact_scatter_loop(c, pairs)
+        # blocks of 1 row, of 2 rows, and one block for all 3 rows
+        for block in (1, 6, 4096):
+            monkeypatch.setattr(corpus_mod, "_EXACT_BLOCK", block)
+            got = exact_similarities(c, pairs)
+            assert got[0] == 0.0
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_allclose(
             got, [_reference(mode)(c[i], c[j]) for i, j in pairs], rtol=0, atol=1e-12
         )

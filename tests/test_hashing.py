@@ -1,8 +1,13 @@
 """Hash families, the 2-byte Gaussian codec, and the signature store."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from bayeslsh.corpus import (
     COSINE_WEIGHTED,
@@ -14,7 +19,7 @@ from bayeslsh.corpus import (
 )
 from bayeslsh.errors import GuardError
 from bayeslsh.hashing import (
-    _TABLE,
+    _table,
     CosineHashFamily,
     MinhashFamily,
     SignatureStore,
@@ -80,22 +85,29 @@ class TestFamilies:
         assert not np.array_equal(fam.block(0), fam.block(1))
 
     def test_plane_table_is_the_snapped_gaussian_quantiles(self):
-        assert _TABLE.shape == (65536,)
-        assert np.all(np.diff(_TABLE) >= 0)
-        np.testing.assert_array_equal(_TABLE, -_TABLE[::-1])
-        np.testing.assert_array_equal(decode_gaussian_2byte(encode_gaussian_2byte(_TABLE)), _TABLE)
-        assert float(np.max(np.abs(_TABLE))) < 4.33
-        assert abs(float(np.var(_TABLE)) - 1.0) <= 1e-3
+        table = _table()
+        assert table.shape == (65536,)
+        assert np.all(np.diff(table) >= 0)
+        np.testing.assert_array_equal(table, -table[::-1])
+        np.testing.assert_array_equal(decode_gaussian_2byte(encode_gaussian_2byte(table)), table)
+        assert float(np.max(np.abs(table))) < 4.33
+        assert abs(float(np.var(table)) - 1.0) <= 1e-3
         # discrete CDF against Phi at every codec bin edge
         edges = np.arange(65537) / 4096.0 - 8.0
-        cdf = np.searchsorted(_TABLE, edges) / 65536
+        cdf = np.searchsorted(table, edges) / 65536
         bound = 1 / 65536 + 1 / 4096 / np.sqrt(2 * np.pi)
         assert float(np.max(np.abs(cdf - ndtr(edges)))) <= bound
+
+    def test_plane_table_is_built_once_as_the_quantile_expression(self):
+        # the expression the table was built from at import before it was built lazily
+        want = decode_gaussian_2byte(encode_gaussian_2byte(ndtri((np.arange(65536) + 0.5) / 65536)))
+        np.testing.assert_array_equal(_table(), want)
+        assert _table() is _table()
 
     def test_block_components_are_table_entries(self):
         fam = CosineHashFamily(seed=11, dim=500)
         for b in (0, 7):
-            assert np.all(np.isin(fam.block(b), _TABLE))
+            assert np.all(np.isin(fam.block(b), _table()))
 
     def test_minhash_params_in_range(self):
         fam = MinhashFamily(seed=2, universe=1000)
@@ -407,3 +419,23 @@ class TestSignatureStore:
         for row in range(30):
             words = want[row] // 64
             np.testing.assert_array_equal(racy._words[row, :words], serial._words[row, :words])
+
+
+def test_importing_the_pipeline_builds_no_plane_table():
+    # jaccard and exact-only processes never draw a cosine plane, so they
+    # must not pay for the table; the first cosine block builds it
+    code = (
+        "import bayeslsh.search, bayeslsh.cli\n"
+        "from bayeslsh.hashing import CosineHashFamily, _table\n"
+        "print(_table.cache_info().currsize)\n"
+        "CosineHashFamily(0, 10).block(0)\n"
+        "print(_table.cache_info().currsize)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.split() == ["0", "1"]
