@@ -5,8 +5,8 @@ instead of scipy's incomplete beta, per-hash loops and one vector at a
 time instead of packed bits over the whole corpus, linear scans instead of
 binary searches, a dict-of-lists inverted index instead of a sorted join,
 one pair at a time (`cosine_exact`, `jaccard_exact`, `exact_scatter_loop`,
-`verify_pair_loop`) instead of the package's batch kernels, and one vector at a time
-(`tfidf_loop`) instead of flat arrays.
+`verify_pair_loop`) instead of the package's batch kernels, and one vector
+at a time (`tfidf_loop`) instead of flat arrays.
 Tests compare package output against these.
 """
 
