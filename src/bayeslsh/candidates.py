@@ -187,8 +187,16 @@ def bruteforce_generate(n: int) -> np.ndarray:
     total = n * (n - 1) // 2
     if total > _BRUTEFORCE_GUARD:
         raise GuardError(f"{total} pairs exceeds the brute-force guard of {_BRUTEFORCE_GUARD}")
-    ii, jj = np.triu_indices(n, k=1)
-    return np.column_stack([ii, jj]).astype(np.int64)
+    # filled in place, one run of pairs (i, i+1 .. n-1) per i, with no temporaries
+    pairs = np.empty((total, 2), dtype=np.int64)
+    js = np.arange(n, dtype=np.int64)
+    start = 0
+    for i in range(n - 1):
+        end = start + n - 1 - i
+        pairs[start:end, 0] = i
+        pairs[start:end, 1] = js[i + 1 :]
+        start = end
+    return pairs
 
 
 _CAND_MAGIC = b"BCND"

@@ -8,13 +8,14 @@ snapped to the center of its codec bin. Jaccard signatures are classical
 minwise hashes under a universal hash family (a*e + b) mod p with
 p = 2^31 - 1.
 
-Hashes come in blocks of 64. The codes of the planes of cosine hashes
-64b .. 64b+63 are drawn together from one seeded stream for block b, and
-minhash function i draws its parameters from a stream of its own. So hash i
-of a row depends only on the seed, the block i // 64, the position i % 64 in
-it, and the row: never on which other rows were hashed with it. Signatures
-grow by whole blocks, so extending one never changes the hashes already
-produced (prefix stability holds per 64-hash block).
+The codes of the planes of cosine hashes 64b .. 64b+63 are drawn together
+from one seeded stream for block b, and minhash function i draws its
+parameters from a stream of its own. So hash i of a row depends only on the
+seed, i and the row: never on which other rows were hashed with it, nor on
+how far the row was extended before. Cosine signatures grow by whole 64-hash
+blocks, one plane draw and one packed word each; jaccard signatures grow to
+exactly the hash count asked for. Either way extending a row never changes
+the hashes it already holds (prefix stability).
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ MERSENNE_PRIME = (1 << 31) - 1
 _CODEC_SCALE = 4096.0
 _CODEC_RANGE = 8.0
 
-# hashes per block: one plane draw, one packed word, one unit of extension
+# cosine hashes per block: one plane draw, one packed word, one unit of extension
 _BLOCK = 64
+
+# pairs whose minhash columns are gathered and compared together; bounds the
+# counting temporaries to a few hundred KB per side at a 32-hash batch
+_COUNT_SLICE = 4096
 
 DEFAULT_MAX_BITS = 4096
 DEFAULT_MAX_INTS = 512
@@ -165,11 +170,12 @@ class SignatureStore:
     """Per-object hash signatures, extended in place up to a hard cap.
 
     Cosine rows are bit-packed into little-endian uint64 words; jaccard rows
-    hold uint32 minhash values. Extension works in whole 64-hash blocks and
-    may cover only some rows: `row_hashes[v]` is the number of hashes row v
-    holds, and `hashes_available`, the prefix that every row holds, is what
-    banding and `band_values` read. `hash_evals` counts row x hash
-    evaluations over the store's life.
+    hold uint32 minhash values. Cosine rows are extended in whole 64-hash
+    blocks, jaccard rows to exactly the hash count asked for, and an
+    extension may cover only some rows: `row_hashes[v]` is the number of
+    hashes row v holds, and `hashes_available`, the prefix that every row
+    holds, is what banding and `band_values` read. `hash_evals` counts
+    row x hash evaluations over the store's life.
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
@@ -205,15 +211,17 @@ class SignatureStore:
         if measure == "cosine":
             self._words = np.zeros((n_objects, max_hashes // 64 + 1), dtype=np.uint64)
         else:
-            self._ints = np.zeros((n_objects, max_hashes + 63), dtype=np.uint32)
+            self._ints = np.zeros((n_objects, max_hashes), dtype=np.uint32)
 
     def extend(self, target: int, rows: np.ndarray | None = None) -> None:
         """Grow the signatures of `rows` (default: every object) to at least `target` hashes.
 
         `rows` holds distinct row indices. Only rows short of the target
-        are hashed, one 64-hash block at a time. Safe to call from several
-        threads: extension runs under a lock, and the hash counts are
-        bumped only after the new columns are fully written.
+        are hashed: cosine rows one 64-hash block at a time up to the block
+        that holds hash `target - 1`, jaccard rows to exactly `target`.
+        Safe to call from several threads: extension runs under a lock, and
+        the hash counts are bumped only after the new columns are fully
+        written.
         """
         if target > self.max_hashes:
             raise GuardError(
@@ -223,17 +231,26 @@ class SignatureStore:
             return
         with self._lock:
             rows = np.arange(self.n_objects) if rows is None else np.asarray(rows, dtype=np.int64)
-            hi = min(-(-target // _BLOCK), -(-self.max_hashes // _BLOCK)) * _BLOCK
+            cosine = self.measure == "cosine"
+            hi = -(-target // _BLOCK) * _BLOCK if cosine else target
             short = rows[self.row_hashes[rows] < hi]
             if len(short) == 0:
                 return
             t0 = time.perf_counter()
-            hash_block = self._extend_cosine if self.measure == "cosine" else self._extend_jaccard
-            for b in range(int(self.row_hashes[short].min()) // _BLOCK, hi // _BLOCK):
-                need = short[self.row_hashes[short] <= b * _BLOCK]
-                hash_block(b, need)
-                self.row_hashes[need] = (b + 1) * _BLOCK
-                self.hash_evals += len(need) * _BLOCK
+            held = self.row_hashes[short]
+            # each step hashes [lo, end) for every row that holds at most lo
+            if cosine:
+                bounds = list(range(int(held.min()), hi + 1, _BLOCK))
+            else:
+                bounds = np.unique(np.append(held, hi)).tolist()
+            for lo, end in zip(bounds[:-1], bounds[1:]):
+                need = short[self.row_hashes[short] <= lo]
+                if cosine:
+                    self._extend_cosine(lo // _BLOCK, need)
+                else:
+                    self._extend_jaccard(lo, end, need)
+                self.row_hashes[need] = end
+                self.hash_evals += len(need) * (end - lo)
             self.hashes_available = int(self.row_hashes.min(initial=hi))
             self.extend_seconds += time.perf_counter() - t0
 
@@ -246,8 +263,8 @@ class SignatureStore:
         packed = np.packbits(bits, axis=1, bitorder="little")
         self._words[rows, b] = packed.view(np.uint64)[:, 0]
 
-    def _extend_jaccard(self, b: int, rows: np.ndarray) -> None:
-        """Hashes of block b for `rows`: minima over each row's own elements."""
+    def _extend_jaccard(self, lo: int, hi: int, rows: np.ndarray) -> None:
+        """Hashes [lo, hi) for `rows`: minima over each row's own elements."""
         elems, starts = self._elems, self._indptr[:-1]
         if len(rows) < self.n_objects:
             pos, _ = _entries(self._indptr, rows)
@@ -255,10 +272,10 @@ class SignatureStore:
             sizes = self._indptr[rows + 1] - self._indptr[rows]
             starts = np.cumsum(sizes) - sizes
         prime = np.uint64(self.family.prime)
-        a, c = self.family.params(b * _BLOCK, (b + 1) * _BLOCK)
-        for k in range(_BLOCK):
+        a, c = self.family.params(lo, hi)
+        for k in range(hi - lo):
             h = (a[k] * elems + c[k]) % prime
-            self._ints[rows, b * _BLOCK + k] = np.minimum.reduceat(h, starts).astype(np.uint32)
+            self._ints[rows, lo + k] = np.minimum.reduceat(h, starts).astype(np.uint32)
 
     def count_matches(self, i: int, j: int, lo: int, hi: int) -> int:
         return int(self.count_matches_bulk(np.array([[i, j]]), lo, hi)[0])
@@ -278,10 +295,9 @@ class SignatureStore:
                     f"hash range [{lo}, {hi}) not available for row {row}"
                     f" (has {int(self.row_hashes[row])}; every row has {self.hashes_available})"
                 )
-        left, right = pairs[:, 0], pairs[:, 1]
         if self.measure == "jaccard":
-            eq = self._ints[left, lo:hi] == self._ints[right, lo:hi]
-            return np.count_nonzero(eq, axis=1).astype(np.int64)
+            return self._count_jaccard(pairs, lo, hi)
+        left, right = pairs[:, 0], pairs[:, 1]
         # gather only the words covering [lo, hi), then clear the edge bits
         w_lo, w_hi = lo // 64, -(-hi // 64)
         xor = self._words[left, w_lo:w_hi] ^ self._words[right, w_lo:w_hi]
@@ -290,6 +306,34 @@ class SignatureStore:
         if hi % 64:
             xor[:, -1] &= np.uint64((1 << (hi % 64)) - 1)
         return (hi - lo) - np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
+
+    def _count_jaccard(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Minhash match counts over [lo, hi), `_COUNT_SLICE` pairs at a time.
+
+        Columns [lo, hi) are first copied into one contiguous array,
+        zero-padded to a multiple of 8 columns, so each side of a slice is a
+        gather of whole rows. A pair's equality bytes are then read as uint64
+        words and popcounted; the pad columns always match and are taken
+        off at the end.
+        """
+        width = hi - lo
+        pad = -width % 8
+        src = self._ints[:, lo:hi]
+        if 2 * len(pairs) < self.n_objects:
+            # fewer rows in use than the store holds: copy only theirs
+            src = src[pairs.reshape(-1)]
+            pairs = np.arange(len(src)).reshape(-1, 2)
+        cols = np.zeros((len(src), width + pad), dtype=np.uint32)
+        cols[:, :width] = src
+        counts = np.empty(len(pairs), dtype=np.int64)
+        for s in range(0, len(pairs), _COUNT_SLICE):
+            part = pairs[s : s + _COUNT_SLICE]
+            eq = np.take(cols, part[:, 0], axis=0) == np.take(cols, part[:, 1], axis=0)
+            words = np.bitwise_count(eq.view(np.uint64))
+            # numpy sums a short inner axis slowly; summing the rows of the
+            # transposed words is one vector add per word
+            counts[s : s + len(part)] = np.ascontiguousarray(words.T).sum(axis=0, dtype=np.int64)
+        return counts - pad
 
     def band_values(self, lo: int, hi: int) -> np.ndarray:
         """All objects' raw hash values for [lo, hi), for banding keys."""

@@ -194,18 +194,20 @@ class BayesVerifier:
             kept, kept_m = [], []
             for lo in range(0, total, _CHUNK):
                 hi = min(lo + _CHUNK, total)
-                if live is None:
-                    idx, c = np.arange(lo, hi), 0
-                else:
-                    idx, c = live[lo:hi], m[lo:hi]
-                c = c + self.store.count_matches_bulk(pairs[idx], n - k, n)
-                pruned = c < self.table.min_matches(n)
-                v.pruned_at[idx[pruned]] = n
+                # the first batch holds every pair, so it works on slices
+                idx = slice(lo, hi) if live is None else live[lo:hi]
+                c = self.store.count_matches_bulk(pairs[idx], n - k, n)
+                if live is not None:
+                    c += m[lo:hi]
+                alive = c >= self.table.min_matches(n)
+                v.pruned_at[idx] = np.where(alive, 0, n)
                 v.hashes_used[idx] = n
-                idx, c = idx[~pruned], c[~pruned]
+                at = np.flatnonzero(alive)
+                c = c[at]
+                at = at + lo if live is None else idx[at]
                 concentrated, estimate = self._lookup(c, n)
-                v.estimate[idx[concentrated]] = estimate[concentrated]
-                kept.append(idx[~concentrated])
+                v.estimate[at[concentrated]] = estimate[concentrated]
+                kept.append(at[~concentrated])
                 kept_m.append(c[~concentrated])
             live = np.concatenate(kept)
             m = np.concatenate(kept_m)
@@ -230,11 +232,10 @@ def fit_candidate_prior(
 
 def _survivor_counts(prune_ns, total: int, k: int, budget: int) -> dict[int, int]:
     """Candidates still alive after each batch boundary (stopped pairs stay)."""
-    pruned_hist = np.bincount(
-        np.asarray(prune_ns, dtype=np.int64) // k, minlength=budget // k + 1
-    )
-    cumulative = np.cumsum(pruned_hist)
-    return {batch * k: int(total - cumulative[batch]) for batch in range(1, budget // k + 1)}
+    # pairs are pruned only at multiples of k, so the histogram is read at those
+    pruned = np.bincount(np.asarray(prune_ns, dtype=np.int64), minlength=budget + 1)[k::k]
+    cumulative = np.cumsum(pruned)
+    return {(batch + 1) * k: int(total - cumulative[batch]) for batch in range(budget // k)}
 
 
 def _emit(corpus: Corpus, pairs: np.ndarray, keep: np.ndarray, config: SearchConfig,

@@ -283,6 +283,13 @@ class TestBruteforce:
         _assert_canonical(pairs)
         assert len(pairs) == 10
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 500])
+    def test_equals_upper_triangle_indices(self, n):
+        pairs = bruteforce_generate(n)
+        assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
+        np.testing.assert_array_equal(pairs, np.column_stack(np.triu_indices(n, 1)))
+        assert pairs.shape == (n * (n - 1) // 2, 2)
+
     def test_guard_fires_before_allocation(self):
         with pytest.raises(GuardError):
             bruteforce_generate(20_000)

@@ -17,6 +17,7 @@ from bayeslsh.corpus import (
     exact_similarities,
     generate_synthetic,
 )
+from bayeslsh import hashing
 from bayeslsh.errors import GuardError
 from bayeslsh.hashing import (
     _table,
@@ -227,11 +228,31 @@ class TestSignatureStore:
         for i in range(len(corpus)):
             np.testing.assert_array_equal(values[i], oracle(store.family, corpus[i], 0, 160))
 
-    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_extension_rounds_to_word_multiples(self, mode):
-        _, store = self._store(mode)
+    def test_cosine_extension_rounds_to_word_multiples(self):
+        _, store = self._store(COSINE_WEIGHTED)
         store.extend(33)
         assert store.hashes_available == 64
+        store.extend(65, rows=np.array([0, 3]))
+        assert store.row_hashes[[0, 3]].tolist() == [128, 128]
+        assert store.hash_evals == 12 * 64 + 2 * 64
+
+    def test_jaccard_extension_stops_at_the_target(self):
+        _, store = self._store(JACCARD)
+        n = store.n_objects
+        store.extend(32)
+        np.testing.assert_array_equal(store.row_hashes, np.full(n, 32))
+        assert store.hashes_available == 32
+        assert store.hash_evals == n * 32
+        store.extend(33, rows=np.array([0, 3]))
+        assert store.row_hashes[[0, 3]].tolist() == [33, 33]
+        assert store.hash_evals == n * 32 + 2
+        # minhash function i has its own parameters, so no value depends on
+        # where an extension stopped
+        _, full = self._store(JACCARD)
+        full.extend(64)
+        assert full.hash_evals == n * 64
+        np.testing.assert_array_equal(store.band_values(0, 32), full.band_values(0, 32))
+        np.testing.assert_array_equal(store._ints[[0, 3], :33], full._ints[[0, 3], :33])
 
     def test_extend_past_cap_raises(self):
         _, store = self._store(COSINE_WEIGHTED)
@@ -316,7 +337,11 @@ class TestSignatureStore:
         steps = [(32, [0, 1, 2, 3, 5, 8]), (96, [1, 2, 5, 8]), (100, [2, 5]), (300, [5, 2])]
         for target, rows in steps:
             tail.extend(target, rows=np.array(rows))
-        held = {0: 64, 3: 64, 1: 128, 8: 128, 2: 320, 5: 320}
+        # cosine rows hold whole 64-hash blocks, jaccard rows exactly their last target
+        if mode == COSINE_WEIGHTED:
+            held = {0: 64, 3: 64, 1: 128, 8: 128, 2: 320, 5: 320}
+        else:
+            held = {0: 32, 3: 32, 1: 96, 8: 96, 2: 300, 5: 300}
         for row, count in held.items():
             assert tail.row_hashes[row] == count
             if mode == COSINE_WEIGHTED:
@@ -326,10 +351,10 @@ class TestSignatureStore:
             else:
                 np.testing.assert_array_equal(tail._ints[row, :count], full._ints[row, :count])
         assert tail.hashes_available == 0  # rows 4, 6, 7, 9, 10, 11 hold nothing
-        assert tail.hash_evals == int(tail.row_hashes.sum()) == 2 * 64 + 2 * 128 + 2 * 320
+        assert tail.hash_evals == int(tail.row_hashes.sum()) == sum(held.values())
         assert full.hash_evals == 12 * 320
-        assert tail.count_matches(2, 5, 0, 320) == full.count_matches(2, 5, 0, 320)
-        assert tail.count_matches(1, 8, 64, 128) == full.count_matches(1, 8, 64, 128)
+        assert tail.count_matches(2, 5, 0, held[2]) == full.count_matches(2, 5, 0, held[2])
+        assert tail.count_matches(1, 8, 64, held[1]) == full.count_matches(1, 8, 64, held[1])
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
     def test_count_matches_rejects_a_row_without_the_range(self, mode):
@@ -354,6 +379,34 @@ class TestSignatureStore:
         assert store.hash_evals == 12 * 128
         store.extend(128)
         assert store.hash_evals == 12 * 128
+
+    @pytest.mark.parametrize("slice_pairs", [7, 4096])
+    @pytest.mark.parametrize("lo", [0, 5, 64, 70])
+    @pytest.mark.parametrize("width", [1, 7, 31, 33, 64, 100])
+    def test_jaccard_count_kernel_equals_per_hash_loop(self, monkeypatch, width, lo, slice_pairs):
+        # slices of 7 pairs put several inner slices in one call
+        monkeypatch.setattr(hashing, "_COUNT_SLICE", slice_pairs)
+        corpus, store = self._store(JACCARD, seed=8, n=40, max_hashes=192)
+        store.extend(192)
+        rng = np.random.default_rng(width * 100 + lo)
+        # reversed, repeated and self pairs beside random ones
+        odd = [[3, 3], [7, 2], [2, 7], [7, 2], [0, 39], [0, 1], [1, 0]]
+        pairs = np.concatenate([rng.integers(0, len(corpus), (53, 2)), odd])
+        hi = lo + width
+        want = [count_matches_loop(store, i, j, lo, hi) for i, j in pairs.tolist()]
+        got = store.count_matches_bulk(pairs, lo, hi)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        # fewer pairs than half the rows: only the rows in use are copied
+        np.testing.assert_array_equal(store.count_matches_bulk(pairs[-7:], lo, hi), want[-7:])
+        assert store.count_matches(3, 3, lo, hi) == width
+
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_count_matches_of_no_pairs(self, mode):
+        _, store = self._store(mode)
+        store.extend(64)
+        got = store.count_matches_bulk(np.zeros((0, 2), dtype=np.int64), 5, 37)
+        assert got.shape == (0,) and got.dtype == np.int64
 
     def test_unknown_measure_code_rejected(self, tmp_path):
         _, store = self._store(COSINE_WEIGHTED)

@@ -225,6 +225,30 @@ class TestBatchVerifier:
         assert len(np.unique(survivors // search._CHUNK)) >= 2
         assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
 
+    @pytest.mark.parametrize("k", [1, 7, 32])
+    def test_jaccard_verdicts_equal_per_pair_loop_across_chunk_edges(
+        self, small_jaccard, monkeypatch, k
+    ):
+        # chunks of 7 pairs cut the first batch's slices and every later one
+        monkeypatch.setattr(search, "_CHUNK", 7)
+        rng = np.random.default_rng(k)
+        n = len(small_jaccard.corpus)
+        planted = np.array(sorted(small_jaccard.truth(0.5)), dtype=np.int64)
+        pairs = np.concatenate([planted[:25], rng.integers(0, n, size=(40, 2))])
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        cfg = SearchConfig("jaccard", 0.5, batch_hashes=k, max_hashes=224, lite_hashes=224,
+                           seed=small_jaccard.seed)
+        store = SignatureStore(small_jaccard.corpus, cfg.seed, cfg.max_hashes)
+        posterior = inference.posterior_for_measure("jaccard", inference.BetaParams(2.0, 5.0))
+        verifier = BayesVerifier(store, posterior, cfg)
+        got = verifier.verify(pairs)
+        want = np.array([verify_pair_loop(verifier, int(i), int(j)) for i, j in pairs]).T
+        np.testing.assert_array_equal(got.pruned_at, want[0])
+        np.testing.assert_array_equal(got.hashes_used, want[1])
+        np.testing.assert_array_equal(got.estimate, want[2])
+        np.testing.assert_array_equal(got.low_confidence, want[3].astype(bool))
+        assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
+
 
 class TestRunners:
     def test_outputs_are_sorted_canonical_subset(self, small_cosine):
@@ -440,7 +464,8 @@ class TestRunSearch:
         cfg = SearchConfig("jaccard", 0.7, generator="bruteforce", seed=0)
         stats = run_search(corpus, cfg).stats
         assert stats.survivors[cfg.batch_hashes] == 0
-        assert stats.hash_evals == len(corpus) * 64
+        # jaccard rows are extended to exactly the hashes the first batch reads
+        assert stats.hash_evals == len(corpus) * cfg.batch_hashes
 
     @pytest.mark.parametrize("scale", ["1e-200", "1e200"])
     def test_extreme_weight_scales_normalize_and_search_alike(self, tmp_path, scale):
