@@ -74,17 +74,6 @@ def _pairs_from_keys(keys: list[np.ndarray], n: int) -> np.ndarray:
     return np.column_stack([keys // n, keys % n])
 
 
-def _bucket_pairs(order: np.ndarray, starts: np.ndarray, size: int, n: int) -> np.ndarray:
-    """Keys i * n + j of all within-bucket pairs of the `size`-member buckets at `starts`.
-
-    `order` comes from a stable argsort, so each bucket's members are
-    already ascending and every pair has i < j.
-    """
-    members = order[starts[:, None] + np.arange(size)]
-    ii, jj = np.triu_indices(size, k=1)
-    return (members[:, ii] * n + members[:, jj]).ravel()
-
-
 def lsh_banding_generate(
     store: SignatureStore,
     params: BandingParams,
@@ -111,14 +100,21 @@ def lsh_banding_generate(
         values = store.band_values(j * b, (j + 1) * b)
         mults = rng.integers(1, 1 << 63, size=b, dtype=np.uint64) | np.uint64(1)
         keys = ((values + np.uint64(1)) * mults).sum(axis=1, dtype=np.uint64)
+        # a stable sort keeps each bucket's members ascending, so every
+        # pair within a run of equal sorted keys has i < j
         order = np.argsort(keys, kind="stable")
         starts = np.concatenate([[0], np.flatnonzero(np.diff(keys[order])) + 1])
-        sizes = np.diff(np.append(starts, len(keys)))
-        emitted += int((sizes * (sizes - 1) // 2).sum())
+        sizes = np.diff(np.append(starts, n))
+        # sorted position p pairs with the later[p] members after it in its run
+        later = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+        emitted += int(later.sum())
         if emitted > budget:
             raise GuardError(f"candidate generation exceeded budget of {budget} pairs")
-        for size in _unique_ints(sizes[sizes >= 2]):
-            chunks.append(_bucket_pairs(order, starts[sizes == size], int(size), n))
+        left = np.repeat(np.arange(n), later)
+        # the k-th pair of position p, at flat index first[p] + k, has right end p + 1 + k
+        first = np.cumsum(later) - later
+        right = np.arange(len(left)) - np.repeat(first - np.arange(n) - 1, later)
+        chunks.append(order[left] * n + order[right])
     return _pairs_from_keys(chunks, n)
 
 

@@ -131,15 +131,23 @@ class TestBanding:
         params = BandingParams(band_width=6, tables=8, eps_fn=0.03)
         store = SignatureStore(corpus, seed=3, max_hashes=64)
         store.extend(params.hashes_needed)
-        expected, bucket_sizes = set(), set()
+        expected, bucket_sizes, emitted = set(), set(), 0
         for j in range(params.tables):
             rows = store.band_values(j * 6, (j + 1) * 6)
             same = (rows[:, None, :] == rows[None, :, :]).all(axis=2)
             expected |= {(int(a), int(b)) for a, b in zip(*np.nonzero(np.triu(same, k=1)))}
             bucket_sizes |= set(same.sum(axis=1).tolist())
+            emitted += int(np.triu(same, k=1).sum())
         assert {2, 3} <= bucket_sizes
         pairs = lsh_banding_generate(store, params, seed=3)
         assert _pair_set(pairs) == expected
+        # the budget counts every within-bucket pair of every band, repeats included
+        assert emitted > len(expected)
+        np.testing.assert_array_equal(
+            lsh_banding_generate(store, params, seed=3, budget=emitted), pairs
+        )
+        with pytest.raises(GuardError, match="budget"):
+            lsh_banding_generate(store, params, seed=3, budget=emitted - 1)
         np.testing.assert_array_equal(pairs, np.unique(pairs, axis=0))
 
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ class TestFamilies:
         want = decode_gaussian_2byte(encode_gaussian_2byte(ndtri((np.arange(65536) + 0.5) / 65536)))
         np.testing.assert_array_equal(_table(), want)
         assert _table() is _table()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("dim", [1, 2, 77, 20000])
+    def test_codes_are_the_uint16_integers_stream(self, seed, dim):
+        # the codes are read as raw stream words; they must stay the values
+        # Generator.integers draws, which the pinned digests were made from
+        fam = CosineHashFamily(seed=seed, dim=dim)
+        for b in (0, 1, 4, 63):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+            want = rng.integers(0, 1 << 16, (dim, 64), dtype=np.uint16)
+            codes = fam._codes(b)
+            assert codes.shape == (dim, 64) and codes.dtype == np.uint16
+            np.testing.assert_array_equal(codes, want)
 
     def test_block_components_are_table_entries(self):
         fam = CosineHashFamily(seed=11, dim=500)
@@ -355,6 +369,84 @@ class TestSignatureStore:
         assert full.hash_evals == 12 * 320
         assert tail.count_matches(2, 5, 0, held[2]) == full.count_matches(2, 5, 0, held[2])
         assert tail.count_matches(1, 8, 64, held[1]) == full.count_matches(1, 8, 64, held[1])
+
+    @staticmethod
+    def _edge_corpus(dim=500, n=14):
+        # row 0 is empty, row 1 holds feature 0 and row 2 feature dim - 1
+        rng = np.random.default_rng(21)
+        vectors = [SparseVector(np.array([], dtype=np.int64), np.array([]))]
+        vectors.append(_unit([0, 40, 41], [1.0, 2.0, 0.5]))
+        vectors.append(_unit([3, dim - 1], [0.3, 1.0]))
+        for _ in range(n - 3):
+            size = int(rng.integers(1, 40))
+            feats = np.sort(rng.choice(np.arange(1, dim - 1), size=size, replace=False))
+            vectors.append(_unit(feats, rng.uniform(0.1, 1.0, len(feats))))
+        return Corpus([f"v{i}" for i in range(n)], vectors, COSINE_WEIGHTED, dim=dim)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0], [7], [1, 2], [2, 0, 9, 1], list(range(14)), list(range(14))[::-1]],
+        ids=["empty-row", "single-row", "first-and-last-feature", "mixed", "all", "all-reversed"],
+    )
+    def test_restricted_extension_equals_dense_projection(self, rows):
+        corpus = self._edge_corpus()
+        store = SignatureStore(corpus, seed=6, max_hashes=256)
+        rows = np.array(rows)
+        store.extend(192, rows)
+        ordered = np.sort(rows)
+        x = corpus.to_csr()[ordered]
+        for b in range(3):
+            bits = np.asarray(x @ store.family.block(b)) >= 0.0
+            want = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)[:, 0]
+            np.testing.assert_array_equal(store._words[ordered, b], want)
+        others = np.setdiff1d(np.arange(14), rows)
+        assert not store._words[others].any() and not store.row_hashes[others].any()
+        assert store.hash_evals == 192 * len(rows)
+
+    def test_store_read_back_after_restricted_extension(self, tmp_path):
+        corpus = self._edge_corpus()
+        store = SignatureStore(corpus, seed=6, max_hashes=256)
+        store.extend(64)
+        store.extend(128, np.array([1, 2, 5]))
+        path = tmp_path / "sigs.bin"
+        write_signatures(store, path)
+        loaded = read_signatures(path)
+        np.testing.assert_array_equal(loaded._words[:, :1], store._words[:, :1])
+        pairs = np.array([[0, 1], [1, 2], [2, 5], [3, 13]])
+        np.testing.assert_array_equal(
+            loaded.count_matches_bulk(pairs, 0, 64), store.count_matches_bulk(pairs, 0, 64)
+        )
+        loaded.extend(64)  # held already: nothing to hash, no corpus needed
+        with pytest.raises(GuardError):
+            loaded.extend(128)
+
+    def test_restricted_extension_peak_memory(self):
+        # extensions at dim 200,000 gather the planes of their rows' features
+        # only, into a buffer sized by those features; the full (dim, 64)
+        # float64 block is 98 MiB and the block's codes alone 24 MiB
+        dim, n = 200_000, 40
+        rng = np.random.default_rng(3)
+        vectors = []
+        for _ in range(n):
+            feats = np.sort(rng.choice(dim, size=30, replace=False))
+            vectors.append(_unit(feats, rng.uniform(0.1, 1.0, 30)))
+        corpus = Corpus([f"v{i}" for i in range(n)], vectors, COSINE_WEIGHTED, dim=dim)
+        rows = np.arange(0, n, 5)
+        store = SignatureStore(corpus, seed=2, max_hashes=256)
+        peaks = []
+        tracemalloc.start()
+        try:
+            store.extend(64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            store.extend(128, rows)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 40 * 2**20, f"peaks {[round(p / 2**20, 1) for p in peaks]} MiB"
+        full = SignatureStore(corpus, seed=2, max_hashes=256)
+        full.extend(128)
+        np.testing.assert_array_equal(store._words[rows, :2], full._words[rows, :2])
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
     def test_count_matches_rejects_a_row_without_the_range(self, mode):
