@@ -370,6 +370,14 @@ class TestSignatureStore:
         assert tail.count_matches(2, 5, 0, held[2]) == full.count_matches(2, 5, 0, held[2])
         assert tail.count_matches(1, 8, 64, held[1]) == full.count_matches(1, 8, 64, held[1])
 
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_extending_every_row_in_any_order_equals_extending_all(self, mode):
+        _, full = self._store(mode)
+        full.extend(128)
+        _, shuffled = self._store(mode)
+        shuffled.extend(128, np.random.default_rng(1).permutation(shuffled.n_objects))
+        np.testing.assert_array_equal(shuffled.band_values(0, 128), full.band_values(0, 128))
+
     @staticmethod
     def _edge_corpus(dim=500, n=14):
         # row 0 is empty, row 1 holds feature 0 and row 2 feature dim - 1
