@@ -3,9 +3,10 @@
 Candidate sets are (M, 2) int64 arrays of index pairs with i < j, sorted
 lexicographically and deduplicated. Generators only promise a superset of
 the truly similar pairs (for banding, a probabilistic one); verification
-is someone else's job. The prefix-filtered index (AllPairs) is one sorted
-join of every vector's entries against the indexed suffixes of the
-vectors before it, run a fixed slice of entries at a time.
+is someone else's job. The prefix-filtered index (AllPairs) is one
+forward join, a fixed slice of entries at a time: each entry meets only
+the indexed entries of its feature that belong to vectors before its
+own. Every order it needs is one argsort of distinct int64 keys.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, _entries, _unique_ints, is_cosine_mode
+from .corpus import Corpus, _runs, _unique_ints, is_cosine_mode
 from .errors import GuardError, UnsupportedMeasure
 from .hashing import SignatureStore
 
@@ -71,7 +72,9 @@ def _pairs_from_keys(keys: list[np.ndarray], n: int) -> np.ndarray:
     if not keys:
         return np.zeros((0, 2), dtype=np.int64)
     keys = _unique_ints(np.concatenate(keys))
-    return np.column_stack([keys // n, keys % n])
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def lsh_banding_generate(
@@ -124,44 +127,57 @@ def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
     Features are ranked by decreasing document frequency. Each vector
     indexes only the suffix past the longest rank-order prefix whose
     maximum possible score stays below t, so any pair reaching t shares at
-    least one indexed feature. The candidates are then one join: every
-    entry of every vector x is matched, a slice of entries at a time,
-    against the indexed entries of its feature, and each indexed y < x
-    whose weight product is positive pairs with x. Raises GuardError when
-    the join would exceed DEFAULT_CANDIDATE_BUDGET rows. Cosine modes only.
+    least one indexed feature. The candidates are then one forward join, a
+    slice of entries at a time: an entry of vector x meets only the indexed
+    entries of its feature from vectors y < x, as AllPairs probes the index
+    built so far, and each such y whose weight product with x is positive
+    pairs with x. Every order is one argsort of distinct int64 keys.
+    Raises GuardError when the entries' whole postings lists would exceed
+    DEFAULT_CANDIDATE_BUDGET rows. Cosine modes only.
     """
     if not is_cosine_mode(corpus.mode):
         raise UnsupportedMeasure("the prefix-filtered generator supports cosine modes only")
     if not 0.0 < t < 1.0:
         raise ValueError("t must be in (0, 1)")
-    n = len(corpus)
+    n, dim = len(corpus), corpus.dim
     indptr, features, weights = corpus.flat()
     sizes = np.diff(indptr)
     owner = np.repeat(np.arange(n), sizes)
-    df = np.bincount(features, minlength=corpus.dim)
-    maxw = np.zeros(corpus.dim, dtype=np.float64)
+    df = np.bincount(features, minlength=dim)
+    maxw = np.zeros(dim, dtype=np.float64)
     np.maximum.at(maxw, features, weights)
     # global feature order: decreasing df, feature id breaking ties
-    rank = np.empty(corpus.dim, dtype=np.int64)
-    rank[np.lexsort((np.arange(corpus.dim), -df))] = np.arange(corpus.dim)
+    rank = np.empty(dim, dtype=np.int64)
+    rank[np.argsort((df.max(initial=0) - df) * dim + np.arange(dim))] = np.arange(dim)
 
     # each vector's entries in rank order; index the suffix past the longest
     # prefix whose bound sum stays below t. Vectors of one size are summed as
     # the rows of one block, and cumsum runs along each row in sequence, so
     # every sum is the one a cumsum over the vector alone gives.
-    order = np.lexsort((rank[features], owner))
+    order = np.argsort(owner * dim + rank[features])
     bound = weights[order] * maxw[features[order]]
     prefix = np.zeros(n, dtype=np.int64)
     for size in _unique_ints(sizes[sizes > 0]):
         rows = np.flatnonzero(sizes == size)
         block = np.cumsum(bound[indptr[rows][:, None] + np.arange(size)], axis=1)
         prefix[rows] = (block < t).sum(axis=1)
-    indexed = order[np.arange(len(order)) - indptr[owner] >= prefix[owner]]
-    # postings: indexed entries by feature, ascending vector id within one
-    indexed = indexed[np.argsort(features[indexed], kind="stable")]
-    post_ptr = np.zeros(corpus.dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(features[indexed], minlength=corpus.dim), out=post_ptr[1:])
-    post_ids, post_w = owner[indexed], weights[indexed]
+    indexed = np.zeros(len(features), dtype=bool)
+    indexed[order[np.arange(len(order)) - indptr[owner] >= prefix[owner]]] = True
+
+    # postings: the indexed entries in (feature, vector) order. An entry's
+    # own place in that order splits its feature's postings into those of
+    # the vectors before it, which it joins (`earlier` of them from
+    # `starts`), and the rest.
+    entries = np.argsort(features * n + owner)
+    posted = indexed[entries]
+    postings = entries[posted]
+    post_ptr = np.zeros(dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(features[postings], minlength=dim), out=post_ptr[1:])
+    post_ids, post_w = owner[postings], weights[postings]
+    starts = post_ptr[features]
+    earlier = np.empty(len(features), dtype=np.int64)
+    earlier[entries] = np.cumsum(posted) - posted
+    earlier -= starts
 
     joined = int(np.diff(post_ptr)[features].sum())
     if joined > DEFAULT_CANDIDATE_BUDGET:
@@ -170,11 +186,10 @@ def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
         )
     keys: list[np.ndarray] = []
     for lo in range(0, len(features), _ALLPAIRS_SLICE):
-        pos, probe = _entries(post_ptr, features[lo : lo + _ALLPAIRS_SLICE])
+        pos, probe = _runs(starts[lo : lo + _ALLPAIRS_SLICE], earlier[lo : lo + _ALLPAIRS_SLICE])
         probe += lo
-        y, x = post_ids[pos], owner[probe]
-        keep = (y < x) & (post_w[pos] * weights[probe] > 0.0)
-        keys.append(y[keep] * n + x[keep])
+        keep = post_w[pos] * weights[probe] > 0.0
+        keys.append(post_ids[pos[keep]] * n + owner[probe[keep]])
     return _pairs_from_keys(keys, n)
 
 

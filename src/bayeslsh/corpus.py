@@ -483,8 +483,12 @@ def _unique_ints(values: np.ndarray) -> np.ndarray:
 def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the entries of `rows`, and the index into `rows` owning each."""
     starts = indptr[rows]
-    sizes = indptr[rows + 1] - starts
-    owner = np.repeat(np.arange(len(rows)), sizes)
+    return _runs(starts, indptr[rows + 1] - starts)
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the runs starts[k] : starts[k] + sizes[k], and the k owning each."""
+    owner = np.repeat(np.arange(len(starts)), sizes)
     pos = np.arange(len(owner)) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
     return pos, owner
 
@@ -518,9 +522,12 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     Pairs are sorted by i and cut into blocks of at most
     max(1, _EXACT_BLOCK // len(corpus)) distinct i rows. Each block is one
     sparse product of its i rows with its distinct j rows, read out dense,
-    so working memory is bounded by the block. SciPy adds each pair's
-    products w_i * w_j in ascending feature order from 0, the order of a
-    per-pair scatter/gather. Cosine sums are clamped to [0, 1]; jaccard
+    so working memory is bounded by the block. A pair's cell is found by
+    position: its i row's rank among the block's i rows, and its j row's
+    column through one length-n map that every block overwrites for the j
+    rows it holds. SciPy adds each pair's products w_i * w_j in ascending
+    feature order from 0, the order of a per-pair scatter/gather, whatever
+    the order of the columns. Cosine sums are clamped to [0, 1]; jaccard
     sums are intersection sizes, divided by the union size (0 for two
     empty sets).
     """
@@ -534,14 +541,22 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     x = corpus.to_csr()
     order = np.argsort(pairs[:, 0], kind="stable")
     left, right = pairs[order, 0], pairs[order, 1]
-    starts = np.concatenate(([0], np.flatnonzero(left[1:] != left[:-1]) + 1))
-    cuts = [*starts[:: max(1, _EXACT_BLOCK // len(corpus))].tolist(), len(pairs)]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        rows, cols = _unique_ints(left[lo:hi]), _unique_ints(right[lo:hi])
-        block = (x[rows] @ x[cols].T).toarray()
-        sims[order[lo:hi]] = block[
-            np.searchsorted(rows, left[lo:hi]), np.searchsorted(cols, right[lo:hi])
-        ]
+    new_row = np.ones(len(left), dtype=bool)
+    new_row[1:] = left[1:] != left[:-1]
+    row_of = np.cumsum(new_row) - 1
+    rows = left[new_row]
+    step = max(1, _EXACT_BLOCK // len(corpus))
+    cuts = [*np.flatnonzero(new_row)[::step].tolist(), len(pairs)]
+    where = np.empty(len(corpus), dtype=np.int64)
+    for block, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        js, at = right[lo:hi], np.arange(hi - lo)
+        # of the pairs sharing a j row, the one whose write to where[j]
+        # survives keeps that row as a column
+        where[js] = at
+        cols = js[where[js] == at]
+        where[cols] = np.arange(len(cols))
+        product = (x[rows[block * step : (block + 1) * step]] @ x[cols].T).toarray()
+        sims[order[lo:hi]] = product[row_of[lo:hi] - block * step, where[js]]
     if is_cosine_mode(corpus.mode):
         return np.clip(sims, 0.0, 1.0, out=sims)
     sizes = np.diff(corpus.indptr)

@@ -1,5 +1,7 @@
 """Candidate generators: banding, prefix-filtered index, brute force."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,25 @@ def _underflowing_pair() -> Corpus:
     return Corpus([f"v{k}" for k in range(len(vectors))], vectors, COSINE_WEIGHTED, dim=10)
 
 
+def _ties_and_repeats() -> Corpus:
+    # vectors 0, 2, 4 and 5 are identical, so features 2, 4 and 7 share df 4
+    # with features 0 and 1 (vectors 1, 3, 6 and 7) and rank by id among
+    # themselves; vectors 6 and 7 share only feature 9, the rarest, which the
+    # bound sum 0.8 * 0.8 + 0.6 * 0.8 >= 0.9 leaves indexed in both
+    repeat = SparseVector([2, 4, 7], [0.48, 0.6, 0.64])
+    vectors = [
+        repeat,
+        SparseVector([0, 1], [0.6, 0.8]),
+        repeat,
+        SparseVector([0, 1, 5], [0.48, 0.64, 0.6]),
+        repeat,
+        repeat,
+        SparseVector([0, 9], [0.8, 0.6]),
+        SparseVector([1, 9], [0.6, 0.8]),
+    ]
+    return Corpus([f"v{k}" for k in range(len(vectors))], vectors, COSINE_WEIGHTED, dim=10)
+
+
 _ALLPAIRS_CORPORA = {
     "weighted": lambda: generate_synthetic(
         150, 1500, [(10, 0.8), (10, 0.5)], seed=4, mode=COSINE_WEIGHTED
@@ -196,6 +217,48 @@ _ALLPAIRS_CORPORA = {
         80, 900, [(8, 0.7)], seed=10, mode=COSINE_WEIGHTED
     ),
     "underflow": _underflowing_pair,
+    "ties-and-repeats": _ties_and_repeats,
+}
+
+
+def _random_small_corpus(rng: np.random.Generator) -> Corpus:
+    """A few vectors over a few features, about a third of them repeats of earlier ones."""
+    n, dim = int(rng.integers(2, 25)), int(rng.integers(1, 25))
+    mode = COSINE_WEIGHTED if rng.random() < 0.5 else COSINE_BINARY
+    vectors: list[SparseVector] = []
+    for _ in range(n):
+        if vectors and rng.random() < 0.35:
+            vectors.append(vectors[int(rng.integers(len(vectors)))])
+            continue
+        size = int(rng.integers(0, min(dim, 6) + 1))
+        weights = rng.random(size) + 0.05 if mode == COSINE_WEIGHTED else np.ones(size)
+        if size:
+            weights /= np.linalg.norm(weights)
+        vectors.append(SparseVector(np.sort(rng.choice(dim, size, replace=False)), weights))
+    return Corpus([f"v{k}" for k in range(n)], vectors, mode, dim=dim)
+
+
+# sha256 and length of the candidate array (little-endian int64) on
+# generate_synthetic(300, 3000, [(20, 0.8), (20, 0.5)], seed, mode) at t
+_PINNED_ALLPAIRS = {
+    (0, "cosine-weighted", 0.3): ("c5ce9e3210ed6f381a086c568a88b9bb7989fce84128506e545439a2e0804188", 34460),
+    (0, "cosine-weighted", 0.7): ("d4a704c976c32aadb8e0d9e40d3655588f3bf5bee9e5adabaa8a5172c2c3c536", 27437),
+    (0, "cosine-weighted", 0.9): ("09df49f6adbf15fe20ceb65a2e2fc5be21efad9fb0a8011f75c8573473c2843d", 22907),
+    (0, "cosine-binary", 0.3): ("4479144aa5fba562ba9979adabaa3b8a04c27a7f56981dd55bd43163ad81e7da", 34940),
+    (0, "cosine-binary", 0.7): ("e6a47265e2d392df34b112428175e110045acc065417eb2892b69af86d1361cb", 23874),
+    (0, "cosine-binary", 0.9): ("30b1c11279035f9ea2c319ae6e42f7689e706c3d0e607138bf78b12271c9770e", 16224),
+    (1, "cosine-weighted", 0.3): ("4dfb8c175bf1d1e9e823089fc578a7c19fa54b884850d291393aae9ee6d887bf", 35120),
+    (1, "cosine-weighted", 0.7): ("8b81a329df2ccd3a83d8eda345270000bbce2bf4b980bcbc1e29184632644609", 28013),
+    (1, "cosine-weighted", 0.9): ("898684ab1bf0d3c511a2a946dd7ff2e132eaf068fb219a02c66929c9acccbf89", 23128),
+    (1, "cosine-binary", 0.3): ("f88b12d8c45a98364a18e351548c8ed67b51ae8af1022d4e2fd5c8fd2d92651e", 35378),
+    (1, "cosine-binary", 0.7): ("2cb61ae1614aed5adb23b9614b0fcd2f77bd44888a3932f36775b4a9a5c1d9bf", 24731),
+    (1, "cosine-binary", 0.9): ("fa701a7a2fd4e4a5197fc313287e0502526f0d4e610d88576e2746121212f88c", 16951),
+    (2, "cosine-weighted", 0.3): ("bbe26213a22c90039bdabb07ed0bd2621b7112773ce4047f02427ec596bc6a50", 35120),
+    (2, "cosine-weighted", 0.7): ("301d22582922ded093a613f318163971a85db972d122c38e9f0dc32297611c24", 28370),
+    (2, "cosine-weighted", 0.9): ("4ee52d5f5f3e03a28f3524d3e089d55d60a5558854c1feed220cb348c2770585", 23785),
+    (2, "cosine-binary", 0.3): ("d9cf162d662de08a5c3be89cd015345dbe82781aa86732cbf202da6072307678", 34635),
+    (2, "cosine-binary", 0.7): ("59db356c5c5850f8ea23a1a248811307e1181f588a25f11e48cce752019186f4", 24008),
+    (2, "cosine-binary", 0.9): ("fa33a1d3205a702410d08e51720379cc51e358dc7d186580427502d7d26895bd", 16617),
 }
 
 
@@ -209,7 +272,9 @@ class TestAllpairs:
             ("slice-7", 0.3),
             ("underflow", 0.5),
             ("acceptance-seed-0", 0.7),
-        ],
+        ]
+        + [("ties-and-repeats", t) for t in (1e-9, 0.5, 0.9)]
+        + [("ties-and-repeats-slice-1", t) for t in (1e-9, 0.5, 0.9)],
     )
     def test_matches_reference_loop(self, case, t, bundles, monkeypatch):
         if case == "acceptance-seed-0":
@@ -218,6 +283,9 @@ class TestAllpairs:
         else:
             if case == "slice-7":
                 monkeypatch.setattr(cand_mod, "_ALLPAIRS_SLICE", 7)
+            if case.endswith("-slice-1"):
+                monkeypatch.setattr(cand_mod, "_ALLPAIRS_SLICE", 1)
+                case = case.removesuffix("-slice-1")
             corpus = _ALLPAIRS_CORPORA[case]()
             got = allpairs_generate(corpus, t)
         _assert_canonical(got)
@@ -228,11 +296,36 @@ class TestAllpairs:
             assert (0, 1) not in _pair_set(got)
         if case == "prefix-only-vector":
             assert 30 in got
+        if case == "ties-and-repeats":
+            assert {(0, 2), (0, 4), (4, 5), (6, 7)} <= _pair_set(got)
+
+    def test_fuzz_matches_reference_loop(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            corpus = _random_small_corpus(rng)
+            for t in (1e-9, 0.3, 0.6, 0.9):
+                got = allpairs_generate(corpus, t)
+                _assert_canonical(got)
+                np.testing.assert_array_equal(got, allpairs_loop(corpus, t))
+
+    @pytest.mark.parametrize("seed, mode, t", list(_PINNED_ALLPAIRS))
+    def test_candidates_are_pinned(self, seed, mode, t):
+        corpus = generate_synthetic(300, 3000, [(20, 0.8), (20, 0.5)], seed=seed, mode=mode)
+        got = allpairs_generate(corpus, t)
+        digest = hashlib.sha256(np.ascontiguousarray(got, "<i8").tobytes()).hexdigest()
+        assert (digest, len(got)) == _PINNED_ALLPAIRS[seed, mode, t]
 
     def test_join_guard(self, monkeypatch):
         corpus = generate_synthetic(80, 600, [(10, 0.8)], seed=5, mode=COSINE_WEIGHTED)
         monkeypatch.setattr(cand_mod, "DEFAULT_CANDIDATE_BUDGET", 10)
         with pytest.raises(GuardError, match="budget of 10"):
+            allpairs_generate(corpus, 0.6)
+        # the guard counts every entry's whole postings list, 41,498 rows here,
+        # not only the rows of indexed vectors before it that the join holds
+        monkeypatch.setattr(cand_mod, "DEFAULT_CANDIDATE_BUDGET", 41_498)
+        assert len(allpairs_generate(corpus, 0.6)) > 0
+        monkeypatch.setattr(cand_mod, "DEFAULT_CANDIDATE_BUDGET", 41_497)
+        with pytest.raises(GuardError, match="join of 41498 rows exceeds the budget of 41497"):
             allpairs_generate(corpus, 0.6)
 
     def test_tiny_threshold_yields_all_overlapping_pairs(self):

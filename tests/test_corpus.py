@@ -277,6 +277,21 @@ class TestExactSimilarities:
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("block", [7, 120, 4096])
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_block_reads_each_pair_at_its_cell(self, mode, block, monkeypatch):
+        # at 40 vectors: blocks of 1 i row, of 3 i rows, and one block for all;
+        # i rows 3, 5 and 8 meet self pairs, reversed pairs (j < i), repeated
+        # pairs and j = 5, an i of the same block, and later blocks reuse the
+        # j rows 3, 5 and 30 of the first
+        monkeypatch.setattr(corpus_mod, "_EXACT_BLOCK", block)
+        c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
+        pairs = np.array([
+            [3, 3], [5, 3], [3, 5], [8, 8], [8, 3], [3, 5], [5, 30], [8, 5], [5, 5],
+            [3, 30], [8, 5], [12, 5], [12, 30], [20, 3], [12, 12], [39, 0], [20, 5],
+        ])
+        np.testing.assert_array_equal(exact_similarities(c, pairs), exact_scatter_loop(c, pairs))
+
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
     def test_empty_vectors(self, mode, monkeypatch):
         full = vec((1, 0.6), (2, 0.8)) if mode == COSINE_WEIGHTED else vec(1, 2)
