@@ -187,9 +187,9 @@ def _underflowing_pair() -> Corpus:
 
 def _ties_and_repeats() -> Corpus:
     # vectors 0, 2, 4 and 5 are identical, so features 2, 4 and 7 share df 4
-    # with features 0 and 1 (vectors 1, 3, 6 and 7) and rank by id among
-    # themselves; vectors 6 and 7 share only feature 9, the rarest, which the
-    # bound sum 0.8 * 0.8 + 0.6 * 0.8 >= 0.9 leaves indexed in both
+    # and rank by id, as features 0 and 1 (df 3) do; vectors 6 and 7 share
+    # only feature 9, the rarest, which their bound sums (1.12 >= 0.9, with
+    # maxw 0.8 on features 0, 1 and 9) leave indexed in both
     repeat = SparseVector([2, 4, 7], [0.48, 0.6, 0.64])
     vectors = [
         repeat,
