@@ -19,7 +19,7 @@ import numpy as np
 
 from .corpus import Corpus, _runs, _unique_ints, is_cosine_mode
 from .errors import GuardError, UnsupportedMeasure
-from .hashing import SignatureStore
+from .hashing import SignatureStore, _bucket_pairs, _buckets
 
 DEFAULT_CANDIDATE_BUDGET = 10_000_000
 _BRUTEFORCE_GUARD = 10**8
@@ -103,21 +103,11 @@ def lsh_banding_generate(
         values = store.band_values(j * b, (j + 1) * b)
         mults = rng.integers(1, 1 << 63, size=b, dtype=np.uint64) | np.uint64(1)
         keys = ((values + np.uint64(1)) * mults).sum(axis=1, dtype=np.uint64)
-        # a stable sort keeps each bucket's members ascending, so every
-        # pair within a run of equal sorted keys has i < j
-        order = np.argsort(keys, kind="stable")
-        starts = np.concatenate([[0], np.flatnonzero(np.diff(keys[order])) + 1])
-        sizes = np.diff(np.append(starts, n))
-        # sorted position p pairs with the later[p] members after it in its run
-        later = np.repeat(starts + sizes, sizes) - np.arange(n) - 1
+        order, later = _buckets(keys)
         emitted += int(later.sum())
         if emitted > budget:
             raise GuardError(f"candidate generation exceeded budget of {budget} pairs")
-        left = np.repeat(np.arange(n), later)
-        # the k-th pair of position p, at flat index first[p] + k, has right end p + 1 + k
-        first = np.cumsum(later) - later
-        right = np.arange(len(left)) - np.repeat(first - np.arange(n) - 1, later)
-        chunks.append(order[left] * n + order[right])
+        chunks.append(_bucket_pairs(order, later))
     return _pairs_from_keys(chunks, n)
 
 

@@ -28,11 +28,12 @@ import struct
 import threading
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from .corpus import Corpus, _entries, is_cosine_mode, measure_for_mode
+from .corpus import Corpus, _entries, _runs, is_cosine_mode, measure_for_mode
 from .errors import GuardError
 
 MERSENNE_PRIME = (1 << 31) - 1
@@ -174,6 +175,57 @@ class MinhashFamily:
         return scramble_ids(elems) % np.uint64(self.prime)
 
 
+def _buckets(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of one key per row, and how many later rows share each sorted row's key.
+
+    A stable sort keeps each run of equal keys in ascending row order, so
+    sorted position p pairs with the later[p] positions after it in its
+    run, each holding a higher row; later.sum() counts those pairs.
+    """
+    order = np.argsort(keys, kind="stable")
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(keys[order])) + 1])
+    sizes = np.diff(np.append(starts, len(keys)))
+    later = np.repeat(starts + sizes, sizes) - np.arange(len(keys)) - 1
+    return order, later
+
+
+def _bucket_pairs(order: np.ndarray, later: np.ndarray) -> np.ndarray:
+    """Keys i * n + j (i < j) of every row pair within a run of `_buckets`' output."""
+    right, left = _runs(np.arange(1, len(order) + 1), later)
+    return order[left] * len(order) + order[right]
+
+
+class MatchIndex(NamedTuple):
+    """Match counts over hashes [lo, hi) of every row pair sharing one of them.
+
+    `keys` are the sorted distinct pair keys i * n + j (i < j) and
+    `counts[k]` the number of hashes pair `keys[k]` shares; every pair not
+    in `keys` shares none.
+    """
+
+    lo: int
+    hi: int
+    keys: np.ndarray
+    counts: np.ndarray
+
+
+def _indexed_counts(index: MatchIndex, pairs: np.ndarray, n: int) -> np.ndarray | None:
+    """Counts of `pairs` read off `index`; None unless their keys increase strictly, i < j < n."""
+    left = pairs[:, 0].astype(np.int64, copy=False)
+    right = pairs[:, 1].astype(np.int64, copy=False)
+    keys = left * n + right
+    if not (len(keys) and left[0] >= 0 and right.max() < n and (left < right).all()
+            and (keys[1:] > keys[:-1]).all()):
+        return None
+    a, b = np.searchsorted(index.keys, [keys[0], keys[-1] + 1])
+    inside = index.keys[a:b]
+    pos = np.searchsorted(keys, inside)
+    hit = keys[pos] == inside
+    counts = np.zeros(len(keys), dtype=np.int64)
+    counts[pos[hit]] = index.counts[a:b][hit]
+    return counts
+
+
 class SignatureStore:
     """Per-object hash signatures, extended in place up to a hard cap.
 
@@ -183,7 +235,10 @@ class SignatureStore:
     extension may cover only some rows: `row_hashes[v]` is the number of
     hashes row v holds, and `hashes_available`, the prefix that every row
     holds, is what banding and `band_values` read. `hash_evals` counts
-    row x hash evaluations over the store's life.
+    row x hash evaluations over the store's life. On a jaccard store,
+    `match_index` lists the pairs that share any hash of a range every row
+    holds, so `count_matches_bulk` can read a long sorted pair list's
+    counts from the collisions instead of comparing every pair.
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
@@ -318,10 +373,36 @@ class SignatureStore:
     def count_matches(self, i: int, j: int, lo: int, hi: int) -> int:
         return int(self.count_matches_bulk(np.array([[i, j]]), lo, hi)[0])
 
-    def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def match_index(self, lo: int, hi: int, limit: int) -> MatchIndex | None:
+        """Every row pair sharing a minhash in [lo, hi), with how many it shares.
+
+        Each column is sorted once, and the pairs within each run of equal
+        values are enumerated as banding enumerates a bucket (one hash per
+        band). Returns None on a cosine store, when some row lacks [lo, hi),
+        or when the (pair, hash) collisions, counted from the run sizes
+        before any pair is enumerated, number more than `limit`.
+        """
+        if not 0 <= lo <= hi:
+            raise ValueError(f"hash range [{lo}, {hi}) is not a range of hash indices")
+        if self.measure == "cosine" or hi > self.hashes_available:
+            return None
+        runs = [_buckets(column) for column in np.ascontiguousarray(self._ints[:, lo:hi].T)]
+        if sum(int(later.sum()) for _, later in runs) > limit:
+            return None
+        keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)]
+                                      + [_bucket_pairs(order, later) for order, later in runs]))
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        return MatchIndex(lo, hi, keys[starts], np.diff(np.append(starts, len(keys))))
+
+    def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int, *,
+                           index: MatchIndex | None = None) -> np.ndarray:
         """Match counts over [lo, hi) for an (M, 2) array of index pairs.
 
-        Raises ValueError unless both rows of every pair hold [lo, hi).
+        Raises ValueError unless both rows of every pair hold [lo, hi). With
+        an `index` of this store over [lo, hi), pairs whose keys i * n + j
+        strictly increase with i < j (the generators' order) are counted
+        by scattering the index's counts into zeros, two searchsorted calls
+        and no pair comparison; any other pairs are compared as without it.
         """
         if not 0 <= lo <= hi:
             raise ValueError(f"hash range [{lo}, {hi}) is not a range of hash indices")
@@ -333,8 +414,11 @@ class SignatureStore:
                     f"hash range [{lo}, {hi}) not available for row {row}"
                     f" (has {int(self.row_hashes[row])}; every row has {self.hashes_available})"
                 )
+        if index is not None and (index.lo, index.hi) != (lo, hi):
+            raise ValueError(f"index covers [{index.lo}, {index.hi}), not [{lo}, {hi})")
         if self.measure == "jaccard":
-            return self._count_jaccard(pairs, lo, hi)
+            counts = None if index is None else _indexed_counts(index, pairs, self.n_objects)
+            return self._count_jaccard(pairs, lo, hi) if counts is None else counts
         left, right = pairs[:, 0], pairs[:, 1]
         # gather only the words covering [lo, hi), then clear the edge bits
         w_lo, w_hi = lo // 64, -(-hi // 64)

@@ -171,7 +171,10 @@ class BayesVerifier:
         each batch boundary together: they are counted and decided one
         chunk at a time, and only the survivors, with their match counts,
         go on to the next batch. Before each batch the store is extended
-        once, to the rows that the live pairs still use.
+        once, to the rows that the live pairs still use. When the list holds
+        at least one pair per row, the first batch's counts are read from
+        the store's `match_index` (built when its collisions number no more
+        than the pairs); the counts, and so the verdicts, are the same.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         k = self.config.batch_hashes
@@ -191,12 +194,14 @@ class BayesVerifier:
                 rows = np.zeros(self.store.n_objects, dtype=bool)
                 rows[(pairs if live is None else pairs[live]).reshape(-1)] = True
                 self.store.extend(n, np.flatnonzero(rows))
+            index = (self.store.match_index(n - k, n, total)
+                     if live is None and total >= self.store.n_objects else None)
             kept, kept_m = [], []
             for lo in range(0, total, _CHUNK):
                 hi = min(lo + _CHUNK, total)
                 # the first batch holds every pair, so it works on slices
                 idx = slice(lo, hi) if live is None else live[lo:hi]
-                c = self.store.count_matches_bulk(pairs[idx], n - k, n)
+                c = self.store.count_matches_bulk(pairs[idx], n - k, n, index=index)
                 if live is not None:
                     c += m[lo:hi]
                 alive = c >= self.table.min_matches(n)
@@ -231,7 +236,11 @@ def fit_candidate_prior(
 
 
 def _survivor_counts(prune_ns, total: int, k: int, budget: int) -> dict[int, int]:
-    """Candidates still alive after each batch boundary (stopped pairs stay)."""
+    """Candidates still alive after each batch boundary (stopped pairs stay).
+
+    `prune_ns` holds the hash count each pair was pruned at; zeros, the
+    pairs never pruned, fall in bin 0 and are not read.
+    """
     # pairs are pruned only at multiples of k, so the histogram is read at those
     pruned = np.bincount(np.asarray(prune_ns, dtype=np.int64), minlength=budget + 1)[k::k]
     cumulative = np.cumsum(pruned)
@@ -294,7 +303,7 @@ def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
     stats.emitted = len(out)
     if verdicts is not None:
         stats.survivors = _survivor_counts(
-            verdicts.pruned_at[~keep], len(pairs), config.batch_hashes, budget
+            verdicts.pruned_at, len(pairs), config.batch_hashes, budget
         )
     return out, stats
 

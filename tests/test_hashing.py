@@ -19,6 +19,7 @@ from bayeslsh.corpus import (
     generate_synthetic,
 )
 from bayeslsh import hashing
+from bayeslsh.candidates import bruteforce_generate
 from bayeslsh.errors import GuardError
 from bayeslsh.hashing import (
     _table,
@@ -592,3 +593,117 @@ def test_importing_the_pipeline_builds_no_plane_table():
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     assert proc.stdout.split() == ["0", "1"]
+
+
+def _duplicated_jaccard(seed: int, n: int = 24) -> Corpus:
+    """A small jaccard corpus whose rows repeat, so runs of equal minhashes exceed 2."""
+    base = generate_synthetic(n, 300, [(2, 0.8)], seed=seed, mode=JACCARD)
+    rng = np.random.default_rng(seed)
+    # row 0 at least three times, and a dozen more repeats at random
+    rows = rng.permutation(np.concatenate([np.arange(n), [0, 0], rng.integers(0, n, n // 2)]))
+    return Corpus([f"d{k}" for k in range(len(rows))], [base[int(r)] for r in rows],
+                  JACCARD, dim=300)
+
+
+class TestMatchIndex:
+    def _chunked(self, store, pairs, lo, hi, chunk, index=None):
+        return np.concatenate([
+            store.count_matches_bulk(pairs[s : s + chunk], lo, hi, index=index)
+            for s in range(0, len(pairs), chunk)
+        ])
+
+    @pytest.mark.parametrize("chunk", [7, 37])
+    @pytest.mark.parametrize("k", [1, 7, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2, "same"])
+    def test_indexed_counts_equal_gather_and_loop(self, monkeypatch, seed, k, chunk):
+        if seed == "same":
+            # every row is one set, so every hash of every pair collides
+            one = generate_synthetic(1, 300, [], seed=3, mode=JACCARD)[0]
+            corpus = Corpus([f"s{v}" for v in range(12)], [one] * 12, JACCARD, dim=300)
+        else:
+            corpus = _duplicated_jaccard(seed)
+        store = SignatureStore(corpus, seed=4, max_hashes=64)
+        store.extend(2 * k)
+        n = len(corpus)
+        pairs = bruteforce_generate(n)
+        rng = np.random.default_rng(k)
+        # a sorted subset too, so index keys fall between a chunk's pairs
+        subset = pairs[np.sort(rng.choice(len(pairs), size=len(pairs) // 3, replace=False))]
+        for lo in (0, k):
+            index = store.match_index(lo, lo + k, len(pairs) * k)
+            assert index is not None
+            assert (np.diff(index.keys) > 0).all() and (index.counts > 0).all()
+            for p in (pairs, subset):
+                want = [count_matches_loop(store, i, j, lo, lo + k) for i, j in p.tolist()]
+                gather = self._chunked(store, p, lo, lo + k, chunk)
+                with monkeypatch.context() as m:
+                    # every chunk of a sorted list is read off the index
+                    m.setattr(SignatureStore, "_count_jaccard", None)
+                    got = self._chunked(store, p, lo, lo + k, chunk, index)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(gather, want)
+        if seed == "same":
+            assert index.counts.tolist() == [k] * len(pairs)
+
+    def test_unsorted_pairs_fall_back_to_the_gather(self, monkeypatch):
+        store = SignatureStore(_duplicated_jaccard(5), seed=4, max_hashes=64)
+        store.extend(32)
+        n = store.n_objects
+        pairs = bruteforce_generate(n)
+        index = store.match_index(0, 32, 10**6)
+        assert index is not None
+        rng = np.random.default_rng(0)
+        shuffled = pairs[rng.permutation(len(pairs))]
+        duplicated = np.repeat(pairs, 2, axis=0)
+        calls = []
+        original = SignatureStore._count_jaccard
+
+        def spy(self, p, lo, hi):
+            calls.append(len(p))
+            return original(self, p, lo, hi)
+
+        monkeypatch.setattr(SignatureStore, "_count_jaccard", spy)
+        for p in (shuffled, pairs[:, ::-1], duplicated, np.array([[4, 4], [4, 5]]),
+                  np.array([[3, 2], [3, 4]]), np.array([[-1, 5], [0, 5]])):
+            want = [count_matches_loop(store, i, j, 0, 32) for i, j in p.tolist()]
+            calls.clear()
+            np.testing.assert_array_equal(store.count_matches_bulk(p, 0, 32, index=index), want)
+            assert calls == [len(p)]
+        # a row past the store's last one is an error, as without the index
+        with pytest.raises(IndexError):
+            store.count_matches_bulk(np.array([[0, 5], [0, n]]), 0, 32, index=index)
+
+    def test_index_only_within_the_collision_limit(self):
+        store = SignatureStore(_duplicated_jaccard(6), seed=4, max_hashes=64)
+        store.extend(16)
+        index = store.match_index(0, 16, 10**6)
+        collisions = int(index.counts.sum())
+        assert collisions > len(index.keys)
+        assert store.match_index(0, 16, collisions - 1) is None
+        again = store.match_index(0, 16, collisions)
+        np.testing.assert_array_equal(again.keys, index.keys)
+        np.testing.assert_array_equal(again.counts, index.counts)
+
+    def test_no_index_without_the_range_on_every_row(self):
+        store = SignatureStore(_duplicated_jaccard(7), seed=4, max_hashes=64)
+        store.extend(32, rows=np.arange(1, store.n_objects))
+        assert store.match_index(0, 32, 10**6) is None
+        store.extend(32)
+        assert store.match_index(0, 32, 10**6) is not None
+        assert store.match_index(0, 33, 10**6) is None
+
+    def test_no_index_on_a_cosine_store(self):
+        corpus = generate_synthetic(12, 300, [(2, 0.8)], seed=0, mode=COSINE_WEIGHTED)
+        store = SignatureStore(corpus, seed=0, max_hashes=128)
+        store.extend(64)
+        assert store.match_index(0, 64, 10**6) is None
+
+    def test_index_of_another_range_is_rejected(self):
+        store = SignatureStore(_duplicated_jaccard(8), seed=4, max_hashes=64)
+        store.extend(64)
+        index = store.match_index(0, 32, 10**6)
+        with pytest.raises(ValueError, match=r"index covers \[0, 32\)"):
+            store.count_matches_bulk(bruteforce_generate(4), 32, 64, index=index)
+        with pytest.raises(ValueError, match="not a range"):
+            store.match_index(5, 4, 10**6)

@@ -250,6 +250,46 @@ class TestBatchVerifier:
         assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
 
 
+    @pytest.mark.parametrize("prior", [inference.BetaParams(2.0, 5.0), inference.UNIFORM_PRIOR])
+    @pytest.mark.parametrize("budget", ["max_hashes", "lite_hashes"])
+    def test_dense_sorted_list_counted_off_the_index_keeps_its_verdicts(
+        self, small_jaccard, monkeypatch, prior, budget
+    ):
+        # every pair of 80 rows in the generators' order holds at least one
+        # pair per row, so its first batch is read off the collision index;
+        # chunks of 37 pairs cut rows
+        monkeypatch.setattr(search, "_CHUNK", 37)
+        whole = small_jaccard.corpus
+        corpus = Corpus(whole.ids[:80], whole.vectors[:80], JACCARD, dim=whole.dim)
+        pairs = bruteforce_generate(len(corpus))
+        cfg = SearchConfig("jaccard", 0.5, batch_hashes=16, seed=small_jaccard.seed)
+        posterior = inference.posterior_for_measure("jaccard", prior)
+        built = []
+        original = SignatureStore.match_index
+
+        def spy(store, lo, hi, limit):
+            built.append((lo, hi, limit, original(store, lo, hi, limit)))
+            return built[-1][-1]
+
+        def run():
+            store = SignatureStore(corpus, cfg.seed, cfg.max_hashes)
+            verifier = BayesVerifier(store, posterior, cfg, budget=getattr(cfg, budget))
+            return verifier, verifier.verify(pairs)
+
+        monkeypatch.setattr(SignatureStore, "match_index", spy)
+        verifier, got = run()
+        assert [b[:3] for b in built] == [(0, 16, len(pairs))] and built[0][3] is not None
+        monkeypatch.setattr(SignatureStore, "match_index", lambda store, lo, hi, limit: None)
+        _, off = run()
+        want = np.array([verify_pair_loop(verifier, int(i), int(j)) for i, j in pairs]).T
+        for field, loop in zip(got._fields, want):
+            values = getattr(got, field)
+            np.testing.assert_array_equal(values, getattr(off, field))
+            np.testing.assert_array_equal(values, loop.astype(values.dtype))
+        assert len(set(got.hashes_used.tolist())) >= 2
+        assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
+
+
 class TestRunners:
     def test_outputs_are_sorted_canonical_subset(self, small_cosine):
         pairs = small_cosine.allpairs(0.5)
@@ -385,6 +425,11 @@ class TestSurvivorCounts:
         counts = _survivor_counts([], total=4, k=64, budget=128)
         assert counts == {64: 4, 128: 4}
 
+    def test_pairs_never_pruned_may_be_passed_as_zeros(self):
+        kept = _survivor_counts([0, 32, 0, 32, 64, 0], total=6, k=32, budget=96)
+        assert kept == _survivor_counts([32, 32, 64], total=6, k=32, budget=96)
+        assert kept == {32: 4, 64: 3, 96: 3}
+
 
 class TestRunSearch:
     def test_measure_mode_mismatch_rejected(self, small_jaccard):
@@ -477,6 +522,29 @@ class TestRunSearch:
         for generator in ("lsh", "allpairs", "bruteforce"):
             result = run_search(corpus, SearchConfig("cosine", 0.3, generator=generator))
             assert [(p.i, p.j) for p in result.pairs] == [(0, 1), (0, 2), (1, 2)], generator
+
+    @pytest.mark.parametrize("verifier", ["bayeslsh", "bayeslsh-lite"])
+    def test_jaccard_bruteforce_search_is_the_same_without_the_index(
+        self, small_jaccard, monkeypatch, verifier
+    ):
+        corpus = small_jaccard.corpus
+        cfg = SearchConfig("jaccard", 0.5, generator="bruteforce", verifier=verifier,
+                           seed=small_jaccard.seed)
+        built = []
+        original = SignatureStore.match_index
+
+        def spy(store, lo, hi, limit):
+            built.append(original(store, lo, hi, limit))
+            return built[-1]
+
+        monkeypatch.setattr(SignatureStore, "match_index", spy)
+        on = run_search(corpus, cfg)
+        assert len(built) == 1 and built[0] is not None
+        monkeypatch.setattr(SignatureStore, "match_index", lambda store, lo, hi, limit: None)
+        off = run_search(corpus, cfg)
+        assert on.pairs and results_to_tsv(corpus, on) == results_to_tsv(corpus, off)
+        for name in ("candidates", "emitted", "survivors", "hash_evals", "exact_computed", "prior"):
+            assert getattr(on.stats, name) == getattr(off.stats, name)
 
     def test_generate_candidates_dispatch(self, small_cosine):
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
