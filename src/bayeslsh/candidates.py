@@ -1,7 +1,9 @@
 """Candidate pair generation: LSH banding, prefix-filtered index, brute force.
 
 Candidate sets are (M, 2) int64 arrays of index pairs with i < j, sorted
-lexicographically and deduplicated. Generators only promise a superset of
+lexicographically and deduplicated; brute force returns the same list
+enumerated on demand (`BruteforcePairs`), which `np.asarray` turns into
+that array. Generators only promise a superset of
 the truly similar pairs (for banding, a probabilistic one); verification
 is someone else's job. The prefix-filtered index (AllPairs) is one
 forward join, a fixed slice of entries at a time: each entry meets only
@@ -183,21 +185,64 @@ def allpairs_generate(corpus: Corpus, t: float) -> np.ndarray:
     return _pairs_from_keys(keys, n)
 
 
-def bruteforce_generate(n: int) -> np.ndarray:
-    """Every pair (i, j) with i < j; guarded against quadratic blowups."""
-    total = n * (n - 1) // 2
-    if total > _BRUTEFORCE_GUARD:
-        raise GuardError(f"{total} pairs exceeds the brute-force guard of {_BRUTEFORCE_GUARD}")
-    # filled in place, one run of pairs (i, i+1 .. n-1) per i, with no temporaries
-    pairs = np.empty((total, 2), dtype=np.int64)
-    js = np.arange(n, dtype=np.int64)
-    start = 0
-    for i in range(n - 1):
-        end = start + n - 1 - i
-        pairs[start:end, 0] = i
-        pairs[start:end, 1] = js[i + 1 :]
-        start = end
-    return pairs
+class BruteforcePairs:
+    """Every pair (i, j) with i < j < n, in lexicographic order, enumerated on demand.
+
+    Row i's run of pairs (i, i+1 .. n-1) starts at position
+    i * n - i * (i + 1) / 2, so a position's pair and a pair key
+    i * n + j's position are both arithmetic: the list holds no pairs.
+    `len` is the pair count, indexing by a position, slice or integer
+    array gives those pairs as int64 rows, and `np.asarray` gives the whole
+    (M, 2) int64 array.
+    """
+
+    def __init__(self, n: int):
+        total = n * (n - 1) // 2
+        if total > _BRUTEFORCE_GUARD:
+            raise GuardError(f"{total} pairs exceeds the brute-force guard of {_BRUTEFORCE_GUARD}")
+        self.n = n
+        self._total = total
+        rows = np.arange(n, dtype=np.int64)
+        self._starts = rows * (2 * n - rows - 1) // 2
+
+    def __len__(self) -> int:
+        return self._total
+
+    def __getitem__(self, at) -> np.ndarray:
+        """Pairs at position(s) `at`: a (2,) row for one, (K, 2) rows for a slice or array."""
+        if isinstance(at, slice):
+            at = np.arange(*at.indices(self._total), dtype=np.int64)
+        at = np.asarray(at)
+        if at.dtype.kind not in "iu":
+            raise IndexError("pair positions must be integers")
+        if at.size and (at.min() < 0 or at.max() >= self._total):
+            raise IndexError(f"pair position out of range for {self._total} pairs")
+        i = np.searchsorted(self._starts, at, side="right") - 1
+        return np.stack([i, at - self._starts[i] + i + 1], axis=-1).astype(np.int64, copy=False)
+
+    def positions(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of the pairs with keys i * n + j; ValueError unless 0 <= i < j < n."""
+        i, j = np.divmod(np.asarray(keys, dtype=np.int64), max(self.n, 1))
+        if not ((i >= 0) & (i < j) & (j < self.n)).all():
+            raise ValueError(f"keys must be i * n + j with 0 <= i < j < {self.n}")
+        return self._starts[i] + j - i - 1
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the pairs are enumerated, so an array of them is always a copy")
+        # filled in place, one run of pairs (i, i+1 .. n-1) per i, with no temporaries
+        pairs = np.empty((self._total, 2), dtype=np.int64)
+        js = np.arange(self.n, dtype=np.int64)
+        for i in range(self.n - 1):
+            start, end = self._starts[i], self._starts[i + 1]
+            pairs[start:end, 0] = i
+            pairs[start:end, 1] = js[i + 1 :]
+        return pairs if dtype is None else pairs.astype(dtype, copy=False)
+
+
+def bruteforce_generate(n: int) -> BruteforcePairs:
+    """Every pair (i, j) with i < j, enumerated; guarded against quadratic blowups."""
+    return BruteforcePairs(n)
 
 
 _CAND_MAGIC = b"BCND"

@@ -209,23 +209,6 @@ class MatchIndex(NamedTuple):
     counts: np.ndarray
 
 
-def _indexed_counts(index: MatchIndex, pairs: np.ndarray, n: int) -> np.ndarray | None:
-    """Counts of `pairs` read off `index`; None unless their keys increase strictly, i < j < n."""
-    left = pairs[:, 0].astype(np.int64, copy=False)
-    right = pairs[:, 1].astype(np.int64, copy=False)
-    keys = left * n + right
-    if not (len(keys) and left[0] >= 0 and right.max() < n and (left < right).all()
-            and (keys[1:] > keys[:-1]).all()):
-        return None
-    a, b = np.searchsorted(index.keys, [keys[0], keys[-1] + 1])
-    inside = index.keys[a:b]
-    pos = np.searchsorted(keys, inside)
-    hit = keys[pos] == inside
-    counts = np.zeros(len(keys), dtype=np.int64)
-    counts[pos[hit]] = index.counts[a:b][hit]
-    return counts
-
-
 class SignatureStore:
     """Per-object hash signatures, extended in place up to a hard cap.
 
@@ -237,8 +220,8 @@ class SignatureStore:
     holds, is what banding and `band_values` read. `hash_evals` counts
     row x hash evaluations over the store's life. On a jaccard store,
     `match_index` lists the pairs that share any hash of a range every row
-    holds, so `count_matches_bulk` can read a long sorted pair list's
-    counts from the collisions instead of comparing every pair.
+    holds, so a verifier can decide a long pair list's first batch from
+    the collisions instead of comparing every pair.
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
@@ -394,15 +377,10 @@ class SignatureStore:
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         return MatchIndex(lo, hi, keys[starts], np.diff(np.append(starts, len(keys))))
 
-    def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int, *,
-                           index: MatchIndex | None = None) -> np.ndarray:
+    def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Match counts over [lo, hi) for an (M, 2) array of index pairs.
 
-        Raises ValueError unless both rows of every pair hold [lo, hi). With
-        an `index` of this store over [lo, hi), pairs whose keys i * n + j
-        strictly increase with i < j (the generators' order) are counted
-        by scattering the index's counts into zeros, two searchsorted calls
-        and no pair comparison; any other pairs are compared as without it.
+        Raises ValueError unless both rows of every pair hold [lo, hi).
         """
         if not 0 <= lo <= hi:
             raise ValueError(f"hash range [{lo}, {hi}) is not a range of hash indices")
@@ -414,11 +392,8 @@ class SignatureStore:
                     f"hash range [{lo}, {hi}) not available for row {row}"
                     f" (has {int(self.row_hashes[row])}; every row has {self.hashes_available})"
                 )
-        if index is not None and (index.lo, index.hi) != (lo, hi):
-            raise ValueError(f"index covers [{index.lo}, {index.hi}), not [{lo}, {hi})")
         if self.measure == "jaccard":
-            counts = None if index is None else _indexed_counts(index, pairs, self.n_objects)
-            return self._count_jaccard(pairs, lo, hi) if counts is None else counts
+            return self._count_jaccard(pairs, lo, hi)
         left, right = pairs[:, 0], pairs[:, 1]
         # gather only the words covering [lo, hi), then clear the edge bits
         w_lo, w_hi = lo // 64, -(-hi // 64)

@@ -124,22 +124,53 @@ class SearchStats:
     # row x hash evaluations, summed over the banding and verification stores
     hash_evals: int = 0
     survivors: dict[int, int] = field(default_factory=dict)
+    # pairs pruned, and pairs stopped with a concentrated estimate, at each
+    # batch boundary; pairs left unconcentrated when the budget ran out. Every
+    # verified candidate falls in exactly one of them.
+    pruned: dict[int, int] = field(default_factory=dict)
+    stopped: dict[int, int] = field(default_factory=dict)
+    low_confidence: int = 0
     timings: dict[str, float] = field(default_factory=dict)
     prior: inference.BetaParams | None = None
 
 
 class Verdicts(NamedTuple):
-    """Per-pair verification outcome, one entry per candidate pair.
+    """Verification outcome, held only for the pairs that passed the first batch.
 
-    `pruned_at` is the hash count at which a pair was pruned, 0 if it
-    survived; survivors carry their posterior estimate, and those still
+    `passed` holds the ascending list positions of the pairs that passed
+    the first batch's prune test, and the next four arrays one entry per
+    such pair: `pruned_at` is the hash count at which it was pruned, 0 if
+    it survived; survivors carry their posterior estimate, and those still
     unconcentrated when the budget ran out are flagged `low_confidence`.
+    Every other pair was pruned at the first boundary k, with k hashes
+    used and estimate 0. `pruned[b]` and `stopped[b]` count the pairs
+    pruned and stopped concentrated at boundary (b + 1) * k.
     """
 
+    passed: np.ndarray
     pruned_at: np.ndarray
     hashes_used: np.ndarray
     estimate: np.ndarray
     low_confidence: np.ndarray
+    pruned: np.ndarray
+    stopped: np.ndarray
+
+
+def _pair_list(pairs):
+    """An enumerated brute-force list as is; any other pairs as an (M, 2) int64 array."""
+    if isinstance(pairs, cand_mod.BruteforcePairs):
+        return pairs
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _sorted_keys(pairs: np.ndarray, n: int) -> np.ndarray | None:
+    """Keys i * n + j of `pairs` if they strictly increase with 0 <= i < j < n, else None."""
+    left, right = pairs[:, 0], pairs[:, 1]
+    keys = left * n + right
+    if (len(keys) and left[0] >= 0 and right.max() < n and (left < right).all()
+            and (keys[1:] > keys[:-1]).all()):
+        return keys
+    return None
 
 
 class BayesVerifier:
@@ -164,61 +195,104 @@ class BayesVerifier:
         estimate = np.array([e for _, e in looked], dtype=np.float64)
         return concentrated[inverse], estimate[inverse]
 
-    def verify(self, pairs: np.ndarray) -> Verdicts:
+    def _first_batch(self, pairs) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending positions and counts of the pairs that pass the first prune test.
+
+        With minMatches(k) >= 1, a pair sharing none of the first k hashes
+        is pruned, so when the store's `match_index` over [0, k) exists
+        (the list holds at least one pair per row, and the collisions
+        number no more than the pairs) only its pairs are looked for in
+        the list: by arithmetic on a brute-force enumeration, or by one key
+        search on a list whose keys strictly increase. Any other list is
+        counted a chunk at a time.
+        """
+        k, total = self.config.batch_hashes, len(pairs)
+        floor = self.table.min_matches(k)
+        n_objects = self.store.n_objects
+        enumerated = isinstance(pairs, cand_mod.BruteforcePairs)
+        dense = floor >= 1 and total >= n_objects
+        keys = _sorted_keys(pairs, n_objects) if dense and not enumerated else None
+        index = (self.store.match_index(0, k, total)
+                 if dense and (enumerated or keys is not None) else None)
+        if index is not None:
+            sel = index.counts >= floor
+            if enumerated:
+                return pairs.positions(index.keys[sel]), index.counts[sel]
+            pos = np.minimum(np.searchsorted(keys, index.keys), total - 1)
+            sel &= keys[pos] == index.keys
+            return pos[sel], index.counts[sel]
+        kept, kept_m = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for lo in range(0, total, _CHUNK):
+            c = self.store.count_matches_bulk(pairs[lo : lo + _CHUNK], 0, k)
+            at = np.flatnonzero(c >= floor)
+            kept.append(at + lo)
+            kept_m.append(c[at])
+        return np.concatenate(kept), np.concatenate(kept_m)
+
+    def verify(self, pairs) -> Verdicts:
         """Algorithm: compare one batch at a time, prune or stop early.
 
         Both decisions depend only on (m, n), so all live pairs step through
-        each batch boundary together: they are counted and decided one
-        chunk at a time, and only the survivors, with their match counts,
-        go on to the next batch. Before each batch the store is extended
-        once, to the rows that the live pairs still use. When the list holds
-        at least one pair per row, the first batch's counts are read from
-        the store's `match_index` (built when its collisions number no more
-        than the pairs); the counts, and so the verdicts, are the same.
+        each batch boundary together. The first batch keeps only the pairs
+        that pass its prune test (`_first_batch`); from then on they are
+        counted and decided one chunk at a time, and only the live ones,
+        with their match counts, go on to the next batch. Before each batch
+        the store is extended once, to the rows that the live pairs still
+        use. No array spans the pairs pruned at the first boundary.
         """
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        k = self.config.batch_hashes
+        pairs = _pair_list(pairs)
+        k, budget, n_objects = self.config.batch_hashes, self.budget, self.store.n_objects
+        pruned = np.zeros(budget // k, dtype=np.int64)
+        stopped = np.zeros(budget // k, dtype=np.int64)
+        if budget < k or len(pairs) == 0:
+            passed = np.arange(len(pairs))
+            m = np.zeros(len(pairs), dtype=np.int64)
+        else:
+            if k > self.store.hashes_available:
+                if isinstance(pairs, cand_mod.BruteforcePairs):
+                    rows = None  # a nonempty enumeration uses every row
+                else:
+                    used = np.zeros(n_objects, dtype=bool)
+                    used[pairs.reshape(-1)] = True
+                    rows = np.flatnonzero(used)
+                self.store.extend(k, rows)
+            passed, m = self._first_batch(pairs)
+            pruned[0] = len(pairs) - len(passed)
+        sub = pairs[passed]
         v = Verdicts(
-            np.zeros(len(pairs), dtype=np.int64),
-            np.zeros(len(pairs), dtype=np.int64),
-            np.zeros(len(pairs), dtype=np.float64),
-            np.zeros(len(pairs), dtype=bool),
+            passed,
+            np.zeros(len(passed), dtype=np.int64),
+            np.zeros(len(passed), dtype=np.int64),
+            np.zeros(len(passed), dtype=np.float64),
+            np.zeros(len(passed), dtype=bool),
+            pruned,
+            stopped,
         )
-        # None stands for every pair, so no index spans all the candidates
-        live, m = None, None
-        for n in range(k, self.budget + 1, k):
-            total = len(pairs) if live is None else len(live)
-            if total == 0:
+        live = np.arange(len(passed))
+        for b, n in enumerate(range(k, budget + 1, k)):
+            if len(live) == 0:
                 break
             if n > self.store.hashes_available:
-                rows = np.zeros(self.store.n_objects, dtype=bool)
-                rows[(pairs if live is None else pairs[live]).reshape(-1)] = True
-                self.store.extend(n, np.flatnonzero(rows))
-            index = (self.store.match_index(n - k, n, total)
-                     if live is None and total >= self.store.n_objects else None)
+                used = np.zeros(n_objects, dtype=bool)
+                used[sub[live].reshape(-1)] = True
+                self.store.extend(n, np.flatnonzero(used))
             kept, kept_m = [], []
-            for lo in range(0, total, _CHUNK):
-                hi = min(lo + _CHUNK, total)
-                # the first batch holds every pair, so it works on slices
-                idx = slice(lo, hi) if live is None else live[lo:hi]
-                c = self.store.count_matches_bulk(pairs[idx], n - k, n, index=index)
-                if live is not None:
-                    c += m[lo:hi]
+            for lo in range(0, len(live), _CHUNK):
+                at, c = live[lo : lo + _CHUNK], m[lo : lo + _CHUNK]
+                if n > k:
+                    c = c + self.store.count_matches_bulk(sub[at], n - k, n)
                 alive = c >= self.table.min_matches(n)
-                v.pruned_at[idx] = np.where(alive, 0, n)
-                v.hashes_used[idx] = n
-                at = np.flatnonzero(alive)
-                c = c[at]
-                at = at + lo if live is None else idx[at]
+                v.pruned_at[at[~alive]] = n
+                v.hashes_used[at] = n
+                pruned[b] += len(at) - int(np.count_nonzero(alive))
+                at, c = at[alive], c[alive]
                 concentrated, estimate = self._lookup(c, n)
                 v.estimate[at[concentrated]] = estimate[concentrated]
+                stopped[b] += int(np.count_nonzero(concentrated))
                 kept.append(at[~concentrated])
                 kept_m.append(c[~concentrated])
-            live = np.concatenate(kept)
-            m = np.concatenate(kept_m)
-        if live is None:
-            live, m = np.arange(len(pairs)), np.zeros(len(pairs), dtype=np.int64)
-        v.estimate[live] = self._lookup(m, self.budget)[1]
+            live, m = np.concatenate(kept), np.concatenate(kept_m)
+        v.estimate[live] = self._lookup(m, budget)[1]
         v.low_confidence[live] = True
         return v
 
@@ -235,37 +309,34 @@ def fit_candidate_prior(
     return inference.fit_beta_mom(corpus_mod.exact_similarities(corpus, pairs[chosen]))
 
 
-def _survivor_counts(prune_ns, total: int, k: int, budget: int) -> dict[int, int]:
+def _survivor_counts(pruned, total: int, k: int) -> dict[int, int]:
     """Candidates still alive after each batch boundary (stopped pairs stay).
 
-    `prune_ns` holds the hash count each pair was pruned at; zeros, the
-    pairs never pruned, fall in bin 0 and are not read.
+    `pruned[b]` is the number of pairs pruned at boundary (b + 1) * k.
     """
-    # pairs are pruned only at multiples of k, so the histogram is read at those
-    pruned = np.bincount(np.asarray(prune_ns, dtype=np.int64), minlength=budget + 1)[k::k]
-    cumulative = np.cumsum(pruned)
-    return {(batch + 1) * k: int(total - cumulative[batch]) for batch in range(budget // k)}
+    cumulative = np.cumsum(np.asarray(pruned, dtype=np.int64))
+    return {(b + 1) * k: int(total - gone) for b, gone in enumerate(cumulative.tolist())}
 
 
-def _emit(corpus: Corpus, pairs: np.ndarray, keep: np.ndarray, config: SearchConfig,
+def _emit(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
           estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> list:
-    """Output pairs for the kept candidates, sorted by index pair.
+    """Output pairs for the kept candidate `pairs`, sorted by index pair.
 
-    With no `estimate`, kept pairs are verified exactly in one batch and
-    emitted only strictly above the threshold.
+    `estimate` and `low_confidence` hold one entry per kept pair. With no
+    `estimate`, the pairs are verified exactly in one batch and emitted
+    only strictly above the threshold.
     """
-    idx = np.flatnonzero(keep)
     exact = estimate is None
     if exact:
-        sims = corpus_mod.exact_similarities(corpus, pairs[idx])
-        above = sims > config.threshold
-        idx, values = idx[above], sims[above]
+        values = corpus_mod.exact_similarities(corpus, pairs)
+        above = values > config.threshold
+        pairs, values = pairs[above], values[above]
     else:
-        values = estimate[idx]
-    low = low_confidence[idx] if low_confidence is not None else np.zeros(len(idx), dtype=bool)
+        values = estimate
+    low = np.zeros(len(pairs), dtype=bool) if low_confidence is None else low_confidence
     out = [
         OutputPair(i, j, e, exact, lo)
-        for (i, j), e, lo in zip(pairs[idx].tolist(), values.tolist(), low.tolist())
+        for (i, j), e, lo in zip(pairs.tolist(), values.tolist(), low.tolist())
     ]
     out.sort(key=lambda o: (o.i, o.j))
     return out
@@ -277,34 +348,39 @@ def _default_store(corpus: Corpus, config: SearchConfig,
     return SignatureStore(corpus, config.seed, config.max_hashes) if store is None else store
 
 
-def _verify_run(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
+def _verify_run(corpus: Corpus, pairs, config: SearchConfig,
                 store: SignatureStore | None, budget: int, exact: bool):
     """Prune on up to `budget` hashes, then emit posterior or exact estimates.
 
     An exact run with a zero budget hashes nothing and verifies every
     candidate exactly. Jaccard runs fit their prior on the candidates.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _pair_list(pairs)
     stats = SearchStats(candidates=len(pairs))
-    verdicts = None
-    if budget or not exact:
-        if config.measure == "jaccard":
-            stats.prior = fit_candidate_prior(corpus, pairs, config.seed)
-            stats.exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
-        posterior = inference.posterior_for_measure(config.measure, stats.prior)
-        store = _default_store(corpus, config, store)
-        verdicts = BayesVerifier(store, posterior, config, budget).verify(pairs)
-    keep = np.ones(len(pairs), dtype=bool) if verdicts is None else verdicts.pruned_at == 0
+    if not budget and exact:
+        out = _emit(corpus, np.asarray(pairs), config, None)
+        stats.exact_computed = len(pairs)
+        stats.emitted = len(out)
+        return out, stats
+    if config.measure == "jaccard":
+        stats.prior = fit_candidate_prior(corpus, pairs, config.seed)
+        stats.exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
+    posterior = inference.posterior_for_measure(config.measure, stats.prior)
+    store = _default_store(corpus, config, store)
+    v = BayesVerifier(store, posterior, config, budget).verify(pairs)
+    kept = v.pruned_at == 0
     if exact:
-        out = _emit(corpus, pairs, keep, config, None)
-        stats.exact_computed += int(np.count_nonzero(keep))
+        out = _emit(corpus, pairs[v.passed[kept]], config, None)
+        stats.exact_computed += int(np.count_nonzero(kept))
     else:
-        out = _emit(corpus, pairs, keep, config, verdicts.estimate, verdicts.low_confidence)
+        out = _emit(corpus, pairs[v.passed[kept]], config,
+                    v.estimate[kept], v.low_confidence[kept])
     stats.emitted = len(out)
-    if verdicts is not None:
-        stats.survivors = _survivor_counts(
-            verdicts.pruned_at, len(pairs), config.batch_hashes, budget
-        )
+    k = config.batch_hashes
+    stats.survivors = _survivor_counts(v.pruned, len(pairs), k)
+    stats.pruned = {(b + 1) * k: int(c) for b, c in enumerate(v.pruned.tolist())}
+    stats.stopped = {(b + 1) * k: int(c) for b, c in enumerate(v.stopped.tolist())}
+    stats.low_confidence = int(np.count_nonzero(v.low_confidence))
     return out, stats
 
 
@@ -351,7 +427,8 @@ def lsh_approx_run(
         distinct, inverse = np.unique(counts, return_inverse=True)
         looked = np.array([estimate_of(int(m), n) for m in distinct], dtype=np.float64)
         estimate[lo : lo + len(counts)] = looked[inverse]
-    out = _emit(corpus, pairs, estimate >= config.threshold, config, estimate)
+    keep = np.flatnonzero(estimate >= config.threshold)
+    out = _emit(corpus, pairs[keep], config, estimate[keep])
     return out, SearchStats(candidates=len(pairs), emitted=len(out))
 
 

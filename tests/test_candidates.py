@@ -381,19 +381,57 @@ class TestAllpairs:
 class TestBruteforce:
     def test_enumerates_all_pairs(self):
         pairs = bruteforce_generate(5)
-        _assert_canonical(pairs)
+        _assert_canonical(np.asarray(pairs))
         assert len(pairs) == 10
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 500])
     def test_equals_upper_triangle_indices(self, n):
         pairs = bruteforce_generate(n)
-        assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
-        np.testing.assert_array_equal(pairs, np.column_stack(np.triu_indices(n, 1)))
-        assert pairs.shape == (n * (n - 1) // 2, 2)
+        want = np.column_stack(np.triu_indices(n, 1)).astype(np.int64)
+        total = n * (n - 1) // 2
+        assert len(pairs) == total
+        whole = np.asarray(pairs)
+        assert whole.dtype == np.int64 and whole.flags.c_contiguous
+        assert whole.shape == (total, 2)
+        np.testing.assert_array_equal(whole, want)
+        # positions, slices and single positions give the same rows
+        rng = np.random.default_rng(n)
+        at = rng.permutation(total)
+        np.testing.assert_array_equal(pairs[at], want[at])
+        np.testing.assert_array_equal(pairs[at.astype(np.int32)], want[at])
+        np.testing.assert_array_equal(pairs[: total // 3], want[: total // 3])
+        np.testing.assert_array_equal(pairs[1::3], want[1::3])
+        assert pairs[np.zeros(0, dtype=np.int64)].shape == (0, 2)
+        if total:
+            assert pairs[total - 1].tolist() == [n - 2, n - 1]
+        # key -> position round trips
+        keys = want[:, 0] * n + want[:, 1]
+        np.testing.assert_array_equal(pairs.positions(keys), np.arange(total))
+        np.testing.assert_array_equal(pairs.positions(keys[at]), at)
+
+    @pytest.mark.parametrize("bad", [-1, 21])
+    def test_position_outside_the_list_raises(self, bad):
+        pairs = bruteforce_generate(7)
+        with pytest.raises(IndexError):
+            pairs[np.array([0, bad])]
+        with pytest.raises(IndexError):
+            pairs[bad]
+
+    @pytest.mark.parametrize("pair", [(3, 3), (4, 2), (0, 7), (-1, 3)])
+    def test_key_of_no_pair_raises(self, pair):
+        i, j = pair
+        with pytest.raises(ValueError, match="0 <= i < j < 7"):
+            bruteforce_generate(7).positions(np.array([1, i * 7 + j]))
 
     def test_guard_fires_before_allocation(self):
         with pytest.raises(GuardError):
             bruteforce_generate(20_000)
+
+    def test_guard_raises_at_the_same_count(self):
+        # 14,142 rows give 99,991,011 pairs, 14,143 rows 100,005,153
+        assert len(bruteforce_generate(14_142)) == 99_991_011 <= 10**8
+        with pytest.raises(GuardError, match="100005153 pairs exceeds"):
+            bruteforce_generate(14_143)
 
 
 class TestCandidateIO:

@@ -606,16 +606,10 @@ def _duplicated_jaccard(seed: int, n: int = 24) -> Corpus:
 
 
 class TestMatchIndex:
-    def _chunked(self, store, pairs, lo, hi, chunk, index=None):
-        return np.concatenate([
-            store.count_matches_bulk(pairs[s : s + chunk], lo, hi, index=index)
-            for s in range(0, len(pairs), chunk)
-        ])
-
     @pytest.mark.parametrize("chunk", [7, 37])
     @pytest.mark.parametrize("k", [1, 7, 32])
     @pytest.mark.parametrize("seed", [0, 1, 2, "same"])
-    def test_indexed_counts_equal_gather_and_loop(self, monkeypatch, seed, k, chunk):
+    def test_indexed_counts_equal_gather_and_loop(self, seed, k, chunk):
         if seed == "same":
             # every row is one set, so every hash of every pair collides
             one = generate_synthetic(1, 300, [], seed=3, mode=JACCARD)[0]
@@ -625,54 +619,24 @@ class TestMatchIndex:
         store = SignatureStore(corpus, seed=4, max_hashes=64)
         store.extend(2 * k)
         n = len(corpus)
-        pairs = bruteforce_generate(n)
-        rng = np.random.default_rng(k)
-        # a sorted subset too, so index keys fall between a chunk's pairs
-        subset = pairs[np.sort(rng.choice(len(pairs), size=len(pairs) // 3, replace=False))]
+        pairs = np.asarray(bruteforce_generate(n))
         for lo in (0, k):
             index = store.match_index(lo, lo + k, len(pairs) * k)
             assert index is not None
-            assert (np.diff(index.keys) > 0).all() and (index.counts > 0).all()
-            for p in (pairs, subset):
-                want = [count_matches_loop(store, i, j, lo, lo + k) for i, j in p.tolist()]
-                gather = self._chunked(store, p, lo, lo + k, chunk)
-                with monkeypatch.context() as m:
-                    # every chunk of a sorted list is read off the index
-                    m.setattr(SignatureStore, "_count_jaccard", None)
-                    got = self._chunked(store, p, lo, lo + k, chunk, index)
-                assert got.dtype == np.int64
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(gather, want)
+            want = np.array([count_matches_loop(store, i, j, lo, lo + k) for i, j in pairs.tolist()])
+            # the index holds exactly the pairs sharing a hash, keyed i * n + j
+            # in ascending order, each with its count
+            hit = np.flatnonzero(want)
+            np.testing.assert_array_equal(index.keys, pairs[hit, 0] * n + pairs[hit, 1])
+            np.testing.assert_array_equal(index.counts, want[hit])
+            # and the chunked gather agrees with both
+            gather = np.concatenate([
+                store.count_matches_bulk(pairs[s : s + chunk], lo, lo + k)
+                for s in range(0, len(pairs), chunk)
+            ])
+            np.testing.assert_array_equal(gather, want)
         if seed == "same":
             assert index.counts.tolist() == [k] * len(pairs)
-
-    def test_unsorted_pairs_fall_back_to_the_gather(self, monkeypatch):
-        store = SignatureStore(_duplicated_jaccard(5), seed=4, max_hashes=64)
-        store.extend(32)
-        n = store.n_objects
-        pairs = bruteforce_generate(n)
-        index = store.match_index(0, 32, 10**6)
-        assert index is not None
-        rng = np.random.default_rng(0)
-        shuffled = pairs[rng.permutation(len(pairs))]
-        duplicated = np.repeat(pairs, 2, axis=0)
-        calls = []
-        original = SignatureStore._count_jaccard
-
-        def spy(self, p, lo, hi):
-            calls.append(len(p))
-            return original(self, p, lo, hi)
-
-        monkeypatch.setattr(SignatureStore, "_count_jaccard", spy)
-        for p in (shuffled, pairs[:, ::-1], duplicated, np.array([[4, 4], [4, 5]]),
-                  np.array([[3, 2], [3, 4]]), np.array([[-1, 5], [0, 5]])):
-            want = [count_matches_loop(store, i, j, 0, 32) for i, j in p.tolist()]
-            calls.clear()
-            np.testing.assert_array_equal(store.count_matches_bulk(p, 0, 32, index=index), want)
-            assert calls == [len(p)]
-        # a row past the store's last one is an error, as without the index
-        with pytest.raises(IndexError):
-            store.count_matches_bulk(np.array([[0, 5], [0, n]]), 0, 32, index=index)
 
     def test_index_only_within_the_collision_limit(self):
         store = SignatureStore(_duplicated_jaccard(6), seed=4, max_hashes=64)
@@ -699,11 +663,8 @@ class TestMatchIndex:
         store.extend(64)
         assert store.match_index(0, 64, 10**6) is None
 
-    def test_index_of_another_range_is_rejected(self):
+    def test_reversed_range_is_rejected(self):
         store = SignatureStore(_duplicated_jaccard(8), seed=4, max_hashes=64)
         store.extend(64)
-        index = store.match_index(0, 32, 10**6)
-        with pytest.raises(ValueError, match=r"index covers \[0, 32\)"):
-            store.count_matches_bulk(bruteforce_generate(4), 32, 64, index=index)
         with pytest.raises(ValueError, match="not a range"):
             store.match_index(5, 4, 10**6)

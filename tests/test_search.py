@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -41,6 +43,26 @@ from bayeslsh.search import (
     run_search,
 )
 from oracles import count_matches_loop, min_matches_linear, verify_pair_loop
+
+
+class _DenseVerdicts(NamedTuple):
+    pruned_at: np.ndarray
+    hashes_used: np.ndarray
+    estimate: np.ndarray
+    low_confidence: np.ndarray
+
+
+def _expand(v: search.Verdicts, total: int, k: int) -> _DenseVerdicts:
+    """Verdicts with one entry per candidate: pairs outside `passed` pruned at k."""
+    dense = _DenseVerdicts(np.full(total, k), np.full(total, k), np.zeros(total),
+                           np.zeros(total, dtype=bool))
+    for field in dense._fields:
+        getattr(dense, field)[v.passed] = getattr(v, field)
+    return dense
+
+
+def _verify_dense(verifier: BayesVerifier, pairs) -> _DenseVerdicts:
+    return _expand(verifier.verify(pairs), len(pairs), verifier.config.batch_hashes)
 
 
 def _cosine_pair_corpus(sim: float) -> Corpus:
@@ -125,7 +147,7 @@ class TestBayesVerifier:
         cfg = SearchConfig(measure, 0.7)
         store = SignatureStore(corpus, seed=3, max_hashes=cfg.max_hashes)
         posterior = inference.posterior_for_measure(measure)
-        verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+        verdict = _verify_dense(BayesVerifier(store, posterior, cfg), np.array([[0, 1]]))
         assert verdict.pruned_at[0] == 0
         assert not verdict.low_confidence[0]
         assert verdict.estimate[0] >= 1.0 - cfg.delta
@@ -137,7 +159,7 @@ class TestBayesVerifier:
         fast = 0
         for seed in range(100):
             store = SignatureStore(corpus, seed=seed, max_hashes=cfg.max_hashes)
-            verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+            verdict = _verify_dense(BayesVerifier(store, posterior, cfg), np.array([[0, 1]]))
             fast += 0 < verdict.pruned_at[0] <= 128
         assert fast >= 99
 
@@ -147,7 +169,7 @@ class TestBayesVerifier:
         posterior = inference.posterior_for_measure("cosine")
         store = SignatureStore(corpus, seed=5, max_hashes=1024)
         verifier = BayesVerifier(store, posterior, cfg)
-        verdict = verifier.verify(np.array([[0, 1]]))
+        verdict = _verify_dense(verifier, np.array([[0, 1]]))
         k, used, pruned_at = cfg.batch_hashes, verdict.hashes_used[0], verdict.pruned_at[0]
         # (m, n, min_m) at every batch boundary the pair reached
         trace = [
@@ -174,7 +196,7 @@ class TestBayesVerifier:
             stops = {}
             for eps in (0.01, 0.1):
                 cfg = SearchConfig("cosine", 0.7, epsilon=eps)
-                verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+                verdict = _verify_dense(BayesVerifier(store, posterior, cfg), np.array([[0, 1]]))
                 assert verdict.pruned_at[0] > 0
                 stops[eps] = verdict.pruned_at[0]
             assert stops[0.1] <= stops[0.01]
@@ -185,7 +207,7 @@ class TestBayesVerifier:
         cfg = SearchConfig("jaccard", 0.5, gamma=1e-6, max_hashes=32)
         store = SignatureStore(corpus, seed=0, max_hashes=32)
         posterior = inference.posterior_for_measure("jaccard")
-        verdict = BayesVerifier(store, posterior, cfg).verify(np.array([[0, 1]]))
+        verdict = _verify_dense(BayesVerifier(store, posterior, cfg), np.array([[0, 1]]))
         assert verdict.pruned_at[0] == 0
         assert verdict.low_confidence[0]
         assert verdict.hashes_used[0] == 32
@@ -212,7 +234,7 @@ class TestBatchVerifier:
         prior = inference.BetaParams(2.0, 5.0) if measure == "jaccard" else None
         posterior = inference.posterior_for_measure(measure, prior)
         verifier = BayesVerifier(store, posterior, cfg, budget=getattr(cfg, budget))
-        got = verifier.verify(pairs)
+        got = _verify_dense(verifier, pairs)
         want = [verify_pair_loop(verifier, int(i), int(j)) for i, j in pairs]
         assert got.pruned_at.tolist() == [w[0] for w in want]
         assert got.hashes_used.tolist() == [w[1] for w in want]
@@ -241,7 +263,7 @@ class TestBatchVerifier:
         store = SignatureStore(small_jaccard.corpus, cfg.seed, cfg.max_hashes)
         posterior = inference.posterior_for_measure("jaccard", inference.BetaParams(2.0, 5.0))
         verifier = BayesVerifier(store, posterior, cfg)
-        got = verifier.verify(pairs)
+        got = _verify_dense(verifier, pairs)
         want = np.array([verify_pair_loop(verifier, int(i), int(j)) for i, j in pairs]).T
         np.testing.assert_array_equal(got.pruned_at, want[0])
         np.testing.assert_array_equal(got.hashes_used, want[1])
@@ -274,7 +296,7 @@ class TestBatchVerifier:
         def run():
             store = SignatureStore(corpus, cfg.seed, cfg.max_hashes)
             verifier = BayesVerifier(store, posterior, cfg, budget=getattr(cfg, budget))
-            return verifier, verifier.verify(pairs)
+            return verifier, _verify_dense(verifier, pairs)
 
         monkeypatch.setattr(SignatureStore, "match_index", spy)
         verifier, got = run()
@@ -288,6 +310,91 @@ class TestBatchVerifier:
             np.testing.assert_array_equal(values, loop.astype(values.dtype))
         assert len(set(got.hashes_used.tolist())) >= 2
         assert (got.pruned_at > 0).any() and (got.pruned_at == 0).any()
+
+
+    @pytest.mark.parametrize("case", ["enumerated", "sorted", "sorted-subset", "no-index",
+                                      "unsorted", "floor-zero", "empty", "one-row"])
+    def test_survivor_verdicts_equal_per_pair_loop(self, small_jaccard, monkeypatch, case):
+        # chunks of 7 pairs cut the first batch and every later one
+        monkeypatch.setattr(search, "_CHUNK", 7)
+        whole = small_jaccard.corpus
+        rows = 1 if case == "one-row" else 60
+        corpus = Corpus(whole.ids[:rows], whole.vectors[:rows], JACCARD, dim=whole.dim)
+        pairs = bruteforce_generate(rows)
+        rng = np.random.default_rng(3)
+        if case == "sorted":
+            pairs = np.asarray(pairs)
+        elif case == "sorted-subset":
+            # index keys fall between the list's pairs
+            pairs = np.asarray(pairs)[np.sort(rng.choice(len(pairs), 1500, replace=False))]
+        elif case == "unsorted":
+            pairs = np.asarray(pairs)[rng.permutation(len(pairs))]
+        elif case == "empty":
+            pairs = np.zeros((0, 2), dtype=np.int64)
+        t = 0.1 if case == "floor-zero" else 0.5
+        cfg = SearchConfig("jaccard", t, batch_hashes=16, max_hashes=64, seed=small_jaccard.seed)
+        posterior = inference.posterior_for_measure("jaccard", inference.BetaParams(2.0, 5.0))
+        built = []
+        original = SignatureStore.match_index
+
+        def spy(store, lo, hi, limit):
+            built.append(None if case == "no-index" else original(store, lo, hi, limit))
+            return built[-1]
+
+        monkeypatch.setattr(SignatureStore, "match_index", spy)
+        store = SignatureStore(corpus, cfg.seed, cfg.max_hashes)
+        verifier = BayesVerifier(store, posterior, cfg)
+        assert (verifier.table.min_matches(16) == 0) == (case == "floor-zero")
+        got = verifier.verify(pairs)
+        # an unsorted list, or one with minMatches(k) = 0, builds no index
+        indexed = bool(built) and built[0] is not None
+        assert indexed == (case in ("enumerated", "sorted", "sorted-subset"))
+        if case == "floor-zero":
+            assert len(got.passed) == len(pairs)
+        elif len(pairs):
+            # only the pairs that pass the first prune test are carried on
+            assert 0 < len(got.passed) < len(pairs)
+        dense = _expand(got, len(pairs), cfg.batch_hashes)
+        want = np.array([verify_pair_loop(verifier, int(i), int(j))
+                         for i, j in np.asarray(pairs)]).reshape(-1, 4).T
+        for field, loop in zip(dense._fields, want):
+            np.testing.assert_array_equal(getattr(dense, field), loop.astype(getattr(dense, field).dtype))
+        # the per-batch counts are those of the dense verdicts
+        ns = np.arange(1, 5) * cfg.batch_hashes
+        stopped = (dense.pruned_at == 0) & ~dense.low_confidence
+        assert got.pruned.tolist() == [int(np.sum(dense.pruned_at == n)) for n in ns]
+        assert got.stopped.tolist() == [int(np.sum(stopped & (dense.hashes_used == n))) for n in ns]
+        assert got.pruned.sum() + got.stopped.sum() + got.low_confidence.sum() == len(pairs)
+
+
+    def test_unsorted_list_falls_back_to_the_gather(self, small_jaccard, monkeypatch):
+        # a list whose keys do not strictly increase with i < j has its first
+        # batch counted chunk by chunk; one that does is decided off the index
+        monkeypatch.setattr(search, "_CHUNK", 100)
+        whole = small_jaccard.corpus
+        corpus = Corpus(whole.ids[:40], whole.vectors[:40], JACCARD, dim=whole.dim)
+        pairs = np.asarray(bruteforce_generate(40))
+        rng = np.random.default_rng(0)
+        cfg = SearchConfig("jaccard", 0.5, batch_hashes=16, max_hashes=64, seed=small_jaccard.seed)
+        posterior = inference.posterior_for_measure("jaccard", inference.BetaParams(2.0, 5.0))
+        calls = []
+        original = SignatureStore._count_jaccard
+
+        def spy(store, p, lo, hi):
+            calls.append((lo, len(p)))
+            return original(store, p, lo, hi)
+
+        monkeypatch.setattr(SignatureStore, "_count_jaccard", spy)
+        for p in (pairs, pairs[rng.permutation(len(pairs))], pairs[:, ::-1],
+                  np.repeat(pairs, 2, axis=0)):
+            verifier = BayesVerifier(SignatureStore(corpus, cfg.seed, cfg.max_hashes), posterior, cfg)
+            calls.clear()
+            got = _verify_dense(verifier, p)
+            first = [size for lo, size in calls if lo == 0]
+            assert first == ([] if p is pairs else [100] * (len(p) // 100) + [len(p) % 100])
+            want = np.array([verify_pair_loop(verifier, int(i), int(j)) for i, j in p]).T
+            for field, loop in zip(got._fields, want):
+                np.testing.assert_array_equal(getattr(got, field), loop.astype(getattr(got, field).dtype))
 
 
 class TestRunners:
@@ -418,17 +525,13 @@ class TestExactComputed:
 
 class TestSurvivorCounts:
     def test_counts_follow_prune_boundaries(self):
-        counts = _survivor_counts([32, 32, 64], total=5, k=32, budget=96)
+        # two pairs pruned at 32, one at 64
+        counts = _survivor_counts([2, 1, 0], total=5, k=32)
         assert counts == {32: 3, 64: 2, 96: 2}
 
     def test_no_pruning_keeps_everyone(self):
-        counts = _survivor_counts([], total=4, k=64, budget=128)
+        counts = _survivor_counts([0, 0], total=4, k=64)
         assert counts == {64: 4, 128: 4}
-
-    def test_pairs_never_pruned_may_be_passed_as_zeros(self):
-        kept = _survivor_counts([0, 32, 0, 32, 64, 0], total=6, k=32, budget=96)
-        assert kept == _survivor_counts([32, 32, 64], total=6, k=32, budget=96)
-        assert kept == {32: 4, 64: 3, 96: 3}
 
 
 class TestRunSearch:
@@ -545,6 +648,45 @@ class TestRunSearch:
         assert on.pairs and results_to_tsv(corpus, on) == results_to_tsv(corpus, off)
         for name in ("candidates", "emitted", "survivors", "hash_evals", "exact_computed", "prior"):
             assert getattr(on.stats, name) == getattr(off.stats, name)
+
+    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
+    @pytest.mark.parametrize("verifier", ["bayeslsh", "bayeslsh-lite"])
+    def test_enumerated_and_materialised_bruteforce_lists_search_alike(
+        self, small_cosine, small_jaccard, monkeypatch, measure, verifier
+    ):
+        bundle = small_cosine if measure == "cosine" else small_jaccard
+        cfg = SearchConfig(measure, 0.5, generator="bruteforce", verifier=verifier,
+                           seed=bundle.seed)
+        enumerated = run_search(bundle.corpus, cfg)
+        original = search.cand_mod.bruteforce_generate
+        monkeypatch.setattr(search.cand_mod, "bruteforce_generate",
+                            lambda n: np.asarray(original(n)))
+        materialised = run_search(bundle.corpus, cfg)
+        assert enumerated.pairs
+        assert (results_to_tsv(bundle.corpus, enumerated)
+                == results_to_tsv(bundle.corpus, materialised))
+        for name in vars(enumerated.stats):
+            if name != "timings":
+                assert getattr(enumerated.stats, name) == getattr(materialised.stats, name), name
+        stats = enumerated.stats
+        assert (sum(stats.pruned.values()) + sum(stats.stopped.values()) + stats.low_confidence
+                == stats.candidates == len(bundle.corpus) * (len(bundle.corpus) - 1) // 2)
+        assert list(stats.pruned) == list(stats.stopped) == list(stats.survivors)
+
+    def test_jaccard_bruteforce_search_allocates_little(self, jaccard_acceptance):
+        # the 1,999,000 candidates are enumerated, never stored, and only the
+        # pairs passing the first batch carry verdicts: the parent of this
+        # bound allocated about 91 MiB at its peak
+        corpus = jaccard_acceptance.corpus
+        cfg = SearchConfig("jaccard", 0.7, generator="bruteforce", verifier="bayeslsh")
+        run_search(corpus, cfg)
+        tracemalloc.start()
+        try:
+            assert run_search(corpus, cfg).stats.candidates == 1_999_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_generate_candidates_dispatch(self, small_cosine):
         cfg = SearchConfig("cosine", 0.7, generator="bruteforce")
