@@ -46,9 +46,13 @@ _EXACT_BLOCK = 1 << 18
 
 # Lines load_corpus parses together. The bulk parser's temporaries take
 # about 10x the slice's text, and memory they leave behind can raise the
-# peak RSS of the search that follows, so slices stay small: 512 lines of
-# 89 weighted entries are about 1.2 MB of text.
-_LOAD_SLICE = 1 << 9
+# peak RSS of the search that follows, so slices stay small: 128 lines of
+# 89 weighted entries are about 0.3 MB of text. Every page of the
+# temporaries that the process does not already hold is faulted in anew,
+# as in a fresh process or after glibc has returned freed heap to the OS:
+# 2,000-line corpora loaded in 31 ms (jaccard) and 204 ms (cosine) in a
+# fresh process, against 41 and 219 ms at 512 lines.
+_LOAD_SLICE = 1 << 7
 
 # The bulk parser accepts feature tokens of 1 to this many ASCII digits,
 # which cannot overflow int64, and in weighted mode these bytes only.
