@@ -1,14 +1,14 @@
 """Candidate pair generation: LSH banding, prefix-filtered index, brute force.
 
 Candidate sets are (M, 2) int64 arrays of index pairs with i < j, sorted
-lexicographically and deduplicated; brute force returns the same list
+lexicographically and deduplicated; brute force returns that list
 enumerated on demand (`BruteforcePairs`), which `np.asarray` turns into
-that array. Generators only promise a superset of
-the truly similar pairs (for banding, a probabilistic one); verification
-is someone else's job. The prefix-filtered index (AllPairs) is one
-forward join, a fixed slice of entries at a time: each entry meets only
-the indexed entries of its feature that belong to vectors before its
-own. Every order it needs is one argsort of distinct int64 keys.
+the array. Generators only promise a superset of the truly similar pairs
+(for banding, a probabilistic one); verification is someone else's job.
+The prefix-filtered index (AllPairs) is one forward join, a fixed slice
+of entries at a time: each entry meets only the indexed entries of its
+feature that belong to vectors before its own. Every order it needs is
+one argsort of distinct int64 keys.
 """
 
 from __future__ import annotations
