@@ -13,8 +13,6 @@ from .candidates import (
     bruteforce_generate,
     lsh_banding_generate,
     num_tables,
-    read_candidates,
-    write_candidates,
 )
 from .corpus import (
     COSINE_BINARY,
@@ -38,8 +36,6 @@ from .hashing import (
     SignatureStore,
     decode_gaussian_2byte,
     encode_gaussian_2byte,
-    read_signatures,
-    write_signatures,
 )
 from .inference import (
     BetaParams,

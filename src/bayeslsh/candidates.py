@@ -14,7 +14,6 @@ one argsort of distinct int64 keys.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,33 +242,3 @@ class BruteforcePairs:
 def bruteforce_generate(n: int) -> BruteforcePairs:
     """Every pair (i, j) with i < j, enumerated; guarded against quadratic blowups."""
     return BruteforcePairs(n)
-
-
-_CAND_MAGIC = b"BCND"
-
-
-def write_candidates(pairs: np.ndarray, path) -> None:
-    """Binary candidate stream: magic + u64 count + (u32 i, u32 j) pairs."""
-    pairs = np.asarray(pairs, dtype=np.int64)
-    if len(pairs) and int(pairs.max()) >= 1 << 32:
-        raise ValueError("indices exceed the u32 candidate format")
-    with open(path, "wb") as fh:
-        fh.write(_CAND_MAGIC + struct.pack("<Q", len(pairs)))
-        fh.write(np.ascontiguousarray(pairs, dtype="<u4").tobytes())
-
-
-def read_candidates(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        payload = fh.read()
-    if header[:4] != _CAND_MAGIC:
-        raise ValueError(f"bad candidate file magic {header[:4]!r}")
-    if len(header) != 12:
-        raise ValueError("candidate file truncated: incomplete header")
-    if len(payload) % 8:
-        raise ValueError(f"candidate file truncated or padded: {len(payload)} payload bytes")
-    (count,) = struct.unpack("<Q", header[4:])
-    data = np.frombuffer(payload, dtype="<u4")
-    if data.size != 2 * count:
-        raise ValueError(f"candidate file truncated: {data.size // 2} of {count} pairs")
-    return data.reshape(count, 2).astype(np.int64)

@@ -274,14 +274,22 @@ def _read_results_tsv(path) -> list[tuple[str, str, float]]:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ParseError(f"expected 5 columns, got {len(parts)}", lineno)
-            rows.append((parts[0], parts[1], float(parts[2])))
+            try:
+                rows.append((parts[0], parts[1], float(parts[2])))
+            except ValueError:
+                raise ParseError(f"estimate {parts[2]!r} is not a number", lineno) from None
     return rows
 
 
 def _cmd_check_eval(args) -> int:
     corpus = corpus_mod.load_corpus(args.corpus, args.mode)
     with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"report {args.report}: not JSON ({exc})") from None
+    if not isinstance(report, dict) or not isinstance(report.get("threshold"), (int, float)):
+        raise ParseError(f"report {args.report}: not a JSON object with a numeric threshold")
     rows = _read_results_tsv(args.results)
     index = {vid: k for k, vid in enumerate(corpus.ids)}
     try:
@@ -294,7 +302,7 @@ def _cmd_check_eval(args) -> int:
     for key, value in recomputed.items():
         got = report.get(key)
         if isinstance(value, float):
-            ok = got is not None and abs(got - value) <= 1e-9
+            ok = isinstance(got, (int, float)) and abs(got - value) <= 1e-9
         else:
             ok = got == value
         if not ok:

@@ -568,6 +568,7 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     return np.divide(sims, union, out=np.zeros_like(sims), where=union > 0)
 
 
+# stays until ROADMAP item 1's benchmark-only PR stops perfbench/worker.py wrapping it
 def exact_similarity(corpus: Corpus, i: int, j: int) -> float:
     return float(exact_similarities(corpus, [[i, j]])[0])
 

@@ -24,7 +24,6 @@ holds (prefix stability).
 from __future__ import annotations
 
 import functools
-import struct
 import threading
 import time
 import warnings
@@ -52,8 +51,6 @@ _COUNT_SLICE = 4096
 
 DEFAULT_MAX_BITS = 4096
 DEFAULT_MAX_INTS = 512
-
-_SIG_MAGIC = b"BSIG"
 
 
 def encode_gaussian_2byte(x) -> np.ndarray | int:
@@ -220,47 +217,39 @@ class SignatureStore:
     holds, is what banding and `band_values` read. `hash_evals` counts
     row x hash evaluations over the store's life. On a jaccard store,
     `match_index` lists the pairs that share any hash of a range every row
-    holds, so a verifier can decide a long pair list's first batch from
-    the collisions instead of comparing every pair.
+    holds, from which a verifier decides a brute-force list's first batch.
     """
 
     def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
         measure = measure_for_mode(corpus.mode)
         if max_hashes is None:
             max_hashes = DEFAULT_MAX_BITS if measure == "cosine" else DEFAULT_MAX_INTS
-        self._init(measure, seed, len(corpus), int(max_hashes), 0)
+        n_objects = len(corpus)
+        self.measure = measure
+        self.seed = int(seed)
+        self.n_objects = n_objects
+        self.max_hashes = int(max_hashes)
+        self.hashes_available = 0
+        self.row_hashes = np.zeros(n_objects, dtype=np.int64)
+        self.hash_evals = 0
+        # wall time spent hashing inside extend, summed over calls
+        self.extend_seconds = 0.0
         self._corpus = corpus
+        self._lock = threading.Lock()
         if measure == "cosine":
+            self._words = np.zeros((n_objects, self.max_hashes // 64 + 1), dtype=np.uint64)
+            # plane components of the features a block extension gathers;
+            # grown to the most features gathered so far, used under _lock
+            self._planes = np.empty(0)
             self.family = CosineHashFamily(seed, corpus.dim)
         else:
+            self._ints = np.zeros((n_objects, self.max_hashes), dtype=np.uint32)
             self.family = MinhashFamily(seed, max(1, corpus.dim))
             indptr, features, _ = corpus.flat()
             if np.any(np.diff(indptr) == 0):
                 raise ValueError("minhash of an empty set is undefined")
             self._elems = self.family.prepare(features)
             self._indptr = indptr
-
-    def _init(self, measure: str, seed: int, n_objects: int, max_hashes: int, held: int) -> None:
-        """State of a store whose rows each hold `held` hashes, with no corpus to extend from."""
-        self.measure = measure
-        self.seed = int(seed)
-        self.n_objects = n_objects
-        self.max_hashes = max_hashes
-        self.hashes_available = held
-        self.row_hashes = np.full(n_objects, held, dtype=np.int64)
-        self.hash_evals = 0
-        # wall time spent hashing inside extend, summed over calls
-        self.extend_seconds = 0.0
-        self._corpus = None
-        self.family = None
-        self._lock = threading.Lock()
-        if measure == "cosine":
-            self._words = np.zeros((n_objects, max_hashes // 64 + 1), dtype=np.uint64)
-            # plane components of the features a block extension gathers;
-            # grown to the most features gathered so far, used under _lock
-            self._planes = np.empty(0)
-        else:
-            self._ints = np.zeros((n_objects, max_hashes), dtype=np.uint32)
 
     def extend(self, target: int, rows: np.ndarray | None = None) -> None:
         """Grow the signatures of `rows` (default: every object) to at least `target` hashes.
@@ -353,6 +342,7 @@ class SignatureStore:
             h = (a[k] * elems + c[k]) % prime
             self._ints[rows, lo + k] = np.minimum.reduceat(h, starts).astype(np.uint32)
 
+    # stays until ROADMAP item 1's benchmark-only PR stops perfbench/worker.py wrapping it
     def count_matches(self, i: int, j: int, lo: int, hi: int) -> int:
         return int(self.count_matches_bulk(np.array([[i, j]]), lo, hi)[0])
 
@@ -442,51 +432,3 @@ class SignatureStore:
         words = self._words[:, idx // 64]
         bits = (words >> (idx % 64).astype(np.uint64)) & np.uint64(1)
         return bits.astype(np.uint64)
-
-
-def write_signatures(store: SignatureStore, path) -> None:
-    """Dump signatures: magic, measure, count, hashes-available, seed + rows.
-
-    Only the prefix every row holds (`hashes_available`) is written; hashes
-    that some rows hold beyond it are left out.
-    """
-    measure_code = 0 if store.measure == "cosine" else 1
-    header = _SIG_MAGIC + struct.pack(
-        "<BQQq", measure_code, store.n_objects, store.hashes_available, store.seed
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        if store.measure == "cosine":
-            words = store._words[:, : -(-store.hashes_available // 64)]
-            fh.write(np.ascontiguousarray(words, dtype="<u8").tobytes())
-        else:
-            ints = store._ints[:, : store.hashes_available]
-            fh.write(np.ascontiguousarray(ints, dtype="<u4").tobytes())
-
-
-def read_signatures(path) -> SignatureStore:
-    """Load a signature dump into a store usable for match counting."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _SIG_MAGIC:
-            raise ValueError(f"bad signature file magic {magic!r}")
-        header = fh.read(25)
-        if len(header) != 25:
-            raise ValueError("signature file truncated: incomplete header")
-        measure_code, count, available, seed = struct.unpack("<BQQq", header)
-        payload = fh.read()
-    if measure_code not in (0, 1):
-        raise ValueError(f"unknown measure code {measure_code} in signature file")
-    expected = count * (8 * -(-available // 64) if measure_code == 0 else 4 * available)
-    if len(payload) != expected:
-        raise ValueError(
-            f"signature file truncated or padded: {len(payload)} of {expected} payload bytes"
-        )
-    store = SignatureStore.__new__(SignatureStore)
-    store._init("cosine" if measure_code == 0 else "jaccard", seed, count, available, available)
-    if store.measure == "cosine":
-        words = -(-available // 64)
-        store._words[:, :words] = np.frombuffer(payload, dtype="<u8").reshape(count, words)
-    else:
-        store._ints[:, :available] = np.frombuffer(payload, dtype="<u4").reshape(count, available)
-    return store

@@ -65,6 +65,7 @@ class SearchConfig:
     verifier: str = "bayeslsh"
     seed: int = 0
     fresh_verification_hashes: bool = False
+    # stays until ROADMAP item 1's benchmark-only PR stops perfbench/spec.py passing it
     parallel: int = 1
 
     def __post_init__(self):
@@ -163,16 +164,6 @@ def _pair_list(pairs):
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
-def _sorted_keys(pairs: np.ndarray, n: int) -> np.ndarray | None:
-    """Keys i * n + j of `pairs` if they strictly increase with 0 <= i < j < n, else None."""
-    left, right = pairs[:, 0], pairs[:, 1]
-    keys = left * n + right
-    if (len(keys) and left[0] >= 0 and right.max() < n and (left < right).all()
-            and (keys[1:] > keys[:-1]).all()):
-        return keys
-    return None
-
-
 class BayesVerifier:
     """Shared state for verifying candidate pairs against one store."""
 
@@ -200,27 +191,17 @@ class BayesVerifier:
 
         With minMatches(k) >= 1, a pair sharing none of the first k hashes
         is pruned, so when the store's `match_index` over [0, k) exists
-        (the list holds at least one pair per row, and the collisions
-        number no more than the pairs) only its pairs are looked for in
-        the list: by arithmetic on a brute-force enumeration, or by one key
-        search on a list whose keys strictly increase. Any other list is
-        counted a chunk at a time.
+        (the collisions number no more than the pairs) only its pairs are
+        looked for in a brute-force enumeration, by arithmetic. Any other
+        list is counted a chunk at a time.
         """
         k, total = self.config.batch_hashes, len(pairs)
         floor = self.table.min_matches(k)
-        n_objects = self.store.n_objects
-        enumerated = isinstance(pairs, cand_mod.BruteforcePairs)
-        dense = floor >= 1 and total >= n_objects
-        keys = _sorted_keys(pairs, n_objects) if dense and not enumerated else None
-        index = (self.store.match_index(0, k, total)
-                 if dense and (enumerated or keys is not None) else None)
-        if index is not None:
-            sel = index.counts >= floor
-            if enumerated:
+        if floor >= 1 and isinstance(pairs, cand_mod.BruteforcePairs):
+            index = self.store.match_index(0, k, total)
+            if index is not None:
+                sel = index.counts >= floor
                 return pairs.positions(index.keys[sel]), index.counts[sel]
-            pos = np.minimum(np.searchsorted(keys, index.keys), total - 1)
-            sel &= keys[pos] == index.keys
-            return pos[sel], index.counts[sel]
         kept, kept_m = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for lo in range(0, total, _CHUNK):
             c = self.store.count_matches_bulk(pairs[lo : lo + _CHUNK], 0, k)

@@ -12,8 +12,6 @@ from bayeslsh.candidates import (
     bruteforce_generate,
     lsh_banding_generate,
     num_tables,
-    read_candidates,
-    write_candidates,
 )
 from bayeslsh.corpus import (
     COSINE_BINARY,
@@ -433,48 +431,3 @@ class TestBruteforce:
         with pytest.raises(GuardError, match="100005153 pairs exceeds"):
             bruteforce_generate(14_143)
 
-
-class TestCandidateIO:
-    def test_round_trip(self, tmp_path):
-        pairs = bruteforce_generate(7)
-        path = tmp_path / "cands.bin"
-        write_candidates(pairs, path)
-        np.testing.assert_array_equal(read_candidates(path), pairs)
-
-    def test_empty_round_trip(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        write_candidates(np.zeros((0, 2), dtype=np.int64), path)
-        assert len(read_candidates(path)) == 0
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            read_candidates(path)
-
-    def test_truncation_detected(self, tmp_path):
-        path = tmp_path / "cands.bin"
-        write_candidates(bruteforce_generate(7), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:-4])
-        with pytest.raises(ValueError, match="truncated"):
-            read_candidates(path)
-
-    def test_short_header_rejected(self, tmp_path):
-        path = tmp_path / "short.bin"
-        path.write_bytes(b"BCND" + b"\x00" * 3)
-        with pytest.raises(ValueError, match="incomplete header"):
-            read_candidates(path)
-
-    def test_partial_pair_rejected(self, tmp_path):
-        path = tmp_path / "cands.bin"
-        write_candidates(bruteforce_generate(7), path)
-        # a whole count of u32 values, but not of (i, j) pairs
-        path.write_bytes(path.read_bytes() + b"\x00" * 4)
-        with pytest.raises(ValueError, match="padded: 172 payload bytes"):
-            read_candidates(path)
-
-    def test_oversized_indices_rejected(self, tmp_path):
-        pairs = np.array([[0, 1 << 32]], dtype=np.int64)
-        with pytest.raises(ValueError):
-            write_candidates(pairs, tmp_path / "big.bin")

@@ -283,6 +283,49 @@ class TestEvalRoundTrip:
         assert code == 1
         assert "mean_abs_error" in err
 
+    def test_check_eval_refuses_a_non_numeric_estimate(self, capsys, cosine_file, tmp_path):
+        results, report = self._search_with_eval(capsys, cosine_file, tmp_path)
+        lines = results.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        parts = lines[row].split("\t")
+        parts[2] = "abc"
+        lines[row] = "\t".join(parts)
+        results.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(
+            capsys,
+            ["check-eval", str(results), str(cosine_file),
+             "--mode", "cosine-weighted", "--report", str(report)],
+        )
+        assert code == 3
+        assert f"line {row + 1}: estimate 'abc' is not a number" in err
+
+    @pytest.mark.parametrize("text", ["not json", "{}", "[1]", '{"threshold": "0.6"}'],
+                             ids=["not-json", "empty-object", "list", "string-threshold"])
+    def test_check_eval_refuses_a_malformed_report(self, capsys, cosine_file, tmp_path, text):
+        results, report = self._search_with_eval(capsys, cosine_file, tmp_path)
+        report.write_text(text)
+        code, _, err = _run(
+            capsys,
+            ["check-eval", str(results), str(cosine_file),
+             "--mode", "cosine-weighted", "--report", str(report)],
+        )
+        assert code == 3
+        assert f"error: report {report}: not " in err
+
+    def test_check_eval_counts_a_non_numeric_field_as_a_mismatch(self, capsys, cosine_file,
+                                                                 tmp_path):
+        results, report_path = self._search_with_eval(capsys, cosine_file, tmp_path)
+        report = json.loads(report_path.read_text())
+        report["recall"] = "high"
+        report_path.write_text(json.dumps(report))
+        code, _, err = _run(
+            capsys,
+            ["check-eval", str(results), str(cosine_file),
+             "--mode", "cosine-weighted", "--report", str(report_path)],
+        )
+        assert code == 1
+        assert "recall: report 'high'" in err
+
     def test_eval_dash_writes_json_to_stdout(self, capsys, cosine_file, tmp_path):
         code, out, _ = _run(
             capsys,

@@ -28,8 +28,6 @@ from bayeslsh.hashing import (
     SignatureStore,
     decode_gaussian_2byte,
     encode_gaussian_2byte,
-    read_signatures,
-    write_signatures,
 )
 from oracles import count_matches_loop, cosine_signature, minhash_signature
 
@@ -310,40 +308,6 @@ class TestSignatureStore:
         np.testing.assert_array_equal(s1.band_values(0, 128), s2.band_values(0, 128))
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_dump_round_trip(self, mode, tmp_path):
-        _, store = self._store(mode)
-        store.extend(192)
-        path = tmp_path / "sigs.bin"
-        write_signatures(store, path)
-        loaded = read_signatures(path)
-        assert loaded.measure == store.measure
-        assert loaded.hashes_available == store.hashes_available
-        assert loaded.seed == store.seed
-        np.testing.assert_array_equal(
-            loaded.band_values(0, 192), store.band_values(0, 192)
-        )
-        for i, j in [(0, 1), (3, 7)]:
-            assert loaded.count_matches(i, j, 10, 150) == store.count_matches(
-                i, j, 10, 150
-            )
-
-    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_dump_after_tail_extension_holds_the_common_prefix(self, mode, tmp_path):
-        _, store = self._store(mode)
-        store.extend(64)
-        store.extend(256, rows=np.array([0, 1, 5]))
-        path = tmp_path / "sigs.bin"
-        write_signatures(store, path)
-        loaded = read_signatures(path)
-        assert loaded.hashes_available == store.hashes_available == 64
-        np.testing.assert_array_equal(loaded.row_hashes, np.full(store.n_objects, 64))
-        np.testing.assert_array_equal(loaded.band_values(0, 64), store.band_values(0, 64))
-        assert loaded.count_matches(0, 1, 0, 64) == store.count_matches(0, 1, 0, 64)
-        store.count_matches(0, 1, 0, 256)
-        with pytest.raises(ValueError, match="not available"):
-            loaded.count_matches(0, 1, 0, 256)
-
-    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
     def test_row_subset_extension_equals_full_extension(self, mode):
         _, full = self._store(mode)
         full.extend(320)
@@ -411,23 +375,6 @@ class TestSignatureStore:
         others = np.setdiff1d(np.arange(14), rows)
         assert not store._words[others].any() and not store.row_hashes[others].any()
         assert store.hash_evals == 192 * len(rows)
-
-    def test_store_read_back_after_restricted_extension(self, tmp_path):
-        corpus = self._edge_corpus()
-        store = SignatureStore(corpus, seed=6, max_hashes=256)
-        store.extend(64)
-        store.extend(128, np.array([1, 2, 5]))
-        path = tmp_path / "sigs.bin"
-        write_signatures(store, path)
-        loaded = read_signatures(path)
-        np.testing.assert_array_equal(loaded._words[:, :1], store._words[:, :1])
-        pairs = np.array([[0, 1], [1, 2], [2, 5], [3, 13]])
-        np.testing.assert_array_equal(
-            loaded.count_matches_bulk(pairs, 0, 64), store.count_matches_bulk(pairs, 0, 64)
-        )
-        loaded.extend(64)  # held already: nothing to hash, no corpus needed
-        with pytest.raises(GuardError):
-            loaded.extend(128)
 
     def test_restricted_extension_peak_memory(self):
         # extensions at dim 200,000 gather the planes of their rows' features
@@ -508,27 +455,6 @@ class TestSignatureStore:
         store.extend(64)
         got = store.count_matches_bulk(np.zeros((0, 2), dtype=np.int64), 5, 37)
         assert got.shape == (0,) and got.dtype == np.int64
-
-    def test_unknown_measure_code_rejected(self, tmp_path):
-        _, store = self._store(COSINE_WEIGHTED)
-        store.extend(64)
-        path = tmp_path / "sigs.bin"
-        write_signatures(store, path)
-        data = bytearray(path.read_bytes())
-        data[4] = 7
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="unknown measure code 7"):
-            read_signatures(path)
-
-    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_truncated_payload_rejected(self, mode, tmp_path):
-        _, store = self._store(mode)
-        store.extend(64)
-        path = tmp_path / "sigs.bin"
-        write_signatures(store, path)
-        path.write_bytes(path.read_bytes()[:-1])
-        with pytest.raises(ValueError, match="truncated"):
-            read_signatures(path)
 
     def test_parallel_extension_is_consistent(self):
         from concurrent.futures import ThreadPoolExecutor

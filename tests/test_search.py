@@ -313,12 +313,13 @@ class TestBatchVerifier:
 
 
     @pytest.mark.parametrize("case", ["enumerated", "sorted", "sorted-subset", "no-index",
-                                      "unsorted", "floor-zero", "empty", "one-row"])
+                                      "unsorted", "floor-zero", "empty", "one-row",
+                                      "two-row", "three-row"])
     def test_survivor_verdicts_equal_per_pair_loop(self, small_jaccard, monkeypatch, case):
         # chunks of 7 pairs cut the first batch and every later one
         monkeypatch.setattr(search, "_CHUNK", 7)
         whole = small_jaccard.corpus
-        rows = 1 if case == "one-row" else 60
+        rows = {"one-row": 1, "two-row": 2, "three-row": 3}.get(case, 60)
         corpus = Corpus(whole.ids[:rows], whole.vectors[:rows], JACCARD, dim=whole.dim)
         pairs = bruteforce_generate(rows)
         rng = np.random.default_rng(3)
@@ -338,6 +339,7 @@ class TestBatchVerifier:
         original = SignatureStore.match_index
 
         def spy(store, lo, hi, limit):
+            assert (lo, hi, limit) == (0, cfg.batch_hashes, len(pairs))
             built.append(None if case == "no-index" else original(store, lo, hi, limit))
             return built[-1]
 
@@ -346,12 +348,15 @@ class TestBatchVerifier:
         verifier = BayesVerifier(store, posterior, cfg)
         assert (verifier.table.min_matches(16) == 0) == (case == "floor-zero")
         got = verifier.verify(pairs)
-        # an unsorted list, or one with minMatches(k) = 0, builds no index
+        # only a nonempty brute-force enumeration with minMatches(k) >= 1 asks
+        # for an index; the two- and three-row lists share more hashes than
+        # they hold pairs, so theirs does not exist
+        assert len(built) == (case in ("enumerated", "no-index", "two-row", "three-row"))
         indexed = bool(built) and built[0] is not None
-        assert indexed == (case in ("enumerated", "sorted", "sorted-subset"))
+        assert indexed == (case == "enumerated")
         if case == "floor-zero":
             assert len(got.passed) == len(pairs)
-        elif len(pairs):
+        elif len(pairs) > 1:
             # only the pairs that pass the first prune test are carried on
             assert 0 < len(got.passed) < len(pairs)
         dense = _expand(got, len(pairs), cfg.batch_hashes)
@@ -368,12 +373,13 @@ class TestBatchVerifier:
 
 
     def test_unsorted_list_falls_back_to_the_gather(self, small_jaccard, monkeypatch):
-        # a list whose keys do not strictly increase with i < j has its first
-        # batch counted chunk by chunk; one that does is decided off the index
+        # an explicit pair array, sorted or not, has its first batch counted
+        # chunk by chunk; the brute-force enumeration is decided off the index
         monkeypatch.setattr(search, "_CHUNK", 100)
         whole = small_jaccard.corpus
         corpus = Corpus(whole.ids[:40], whole.vectors[:40], JACCARD, dim=whole.dim)
-        pairs = np.asarray(bruteforce_generate(40))
+        enumerated = bruteforce_generate(40)
+        pairs = np.asarray(enumerated)
         rng = np.random.default_rng(0)
         cfg = SearchConfig("jaccard", 0.5, batch_hashes=16, max_hashes=64, seed=small_jaccard.seed)
         posterior = inference.posterior_for_measure("jaccard", inference.BetaParams(2.0, 5.0))
@@ -385,14 +391,15 @@ class TestBatchVerifier:
             return original(store, p, lo, hi)
 
         monkeypatch.setattr(SignatureStore, "_count_jaccard", spy)
-        for p in (pairs, pairs[rng.permutation(len(pairs))], pairs[:, ::-1],
+        for p in (enumerated, pairs, pairs[rng.permutation(len(pairs))], pairs[:, ::-1],
                   np.repeat(pairs, 2, axis=0)):
             verifier = BayesVerifier(SignatureStore(corpus, cfg.seed, cfg.max_hashes), posterior, cfg)
             calls.clear()
             got = _verify_dense(verifier, p)
             first = [size for lo, size in calls if lo == 0]
-            assert first == ([] if p is pairs else [100] * (len(p) // 100) + [len(p) % 100])
-            want = np.array([verify_pair_loop(verifier, int(i), int(j)) for i, j in p]).T
+            assert first == ([] if p is enumerated else [100] * (len(p) // 100) + [len(p) % 100])
+            want = np.array([verify_pair_loop(verifier, int(i), int(j))
+                             for i, j in np.asarray(p)]).T
             for field, loop in zip(got._fields, want):
                 np.testing.assert_array_equal(getattr(got, field), loop.astype(getattr(got, field).dtype))
 
