@@ -42,7 +42,6 @@ from .inference import (
     ConcentrationCache,
     CosinePosterior,
     JaccardPosterior,
-    MinMatchTable,
     UNIFORM_PRIOR,
     build_minmatch_table,
     c2r,
@@ -53,7 +52,6 @@ from .inference import (
     jaccard_concentration_prob,
     jaccard_map,
     jaccard_prune_prob,
-    ml_concentration_prob,
     ml_estimate,
     posterior_for_measure,
     power_law_posterior_grid,

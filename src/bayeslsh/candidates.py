@@ -54,11 +54,10 @@ class BandingParams:
 
     band_width: int
     tables: int
-    eps_fn: float
 
     @classmethod
     def for_threshold(cls, eps_fn: float, t: float, band_width: int) -> "BandingParams":
-        return cls(band_width, num_tables(eps_fn, t, band_width), eps_fn)
+        return cls(band_width, num_tables(eps_fn, t, band_width))
 
     @property
     def hashes_needed(self) -> int:

@@ -254,6 +254,8 @@ def _parse_entries(body: str, weighted: bool, lineno: int):
             raise ParseError(f"bad feature {feat_s!r}", lineno) from None
         if feat < 0:
             raise ParseError(f"negative feature {feat}", lineno)
+        if feat >= 1 << 63:
+            raise ParseError(f"feature {feat} exceeds 2^63 - 1", lineno)
         try:
             weight = float(weight_s)
         except ValueError:

@@ -49,9 +49,6 @@ _BLOCK = 64
 # counting temporaries to a few hundred KB per side at a 32-hash batch
 _COUNT_SLICE = 4096
 
-DEFAULT_MAX_BITS = 4096
-DEFAULT_MAX_INTS = 512
-
 
 def encode_gaussian_2byte(x) -> np.ndarray | int:
     """Encode Gaussian components to uint16 codes; clamps outside [-8, 8)."""
@@ -91,8 +88,6 @@ def _table() -> np.ndarray:
 
 class CosineHashFamily:
     """Random-projection sign hashes over a fixed-dimension feature space."""
-
-    measure = "cosine"
 
     def __init__(self, seed: int, dim: int):
         if dim <= 0:
@@ -149,14 +144,12 @@ def scramble_ids(elems: np.ndarray) -> np.ndarray:
 class MinhashFamily:
     """Minwise hashing: universal parameters mod 2^31-1 over scrambled ids."""
 
-    measure = "jaccard"
+    prime = MERSENNE_PRIME
 
-    def __init__(self, seed: int, universe: int, prime: int = MERSENNE_PRIME):
-        if not 0 < universe <= prime:
-            raise ValueError(f"universe must be in (0, {prime}]")
+    def __init__(self, seed: int, universe: int):
+        if not 0 < universe <= self.prime:
+            raise ValueError(f"universe must be in (0, {self.prime}]")
         self.seed = int(seed)
-        self.universe = int(universe)
-        self.prime = int(prime)
 
     def params(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         a = np.empty(hi - lo, dtype=np.uint64)
@@ -200,14 +193,12 @@ class MatchIndex(NamedTuple):
     in `keys` shares none.
     """
 
-    lo: int
-    hi: int
     keys: np.ndarray
     counts: np.ndarray
 
 
 class SignatureStore:
-    """Per-object hash signatures, extended in place up to a hard cap.
+    """Per-object hash signatures, extended in place up to the required cap `max_hashes`.
 
     Cosine rows are bit-packed into little-endian uint64 words; jaccard rows
     hold uint32 minhash values. Cosine rows are extended in whole 64-hash
@@ -220,10 +211,8 @@ class SignatureStore:
     holds, from which a verifier decides a brute-force list's first batch.
     """
 
-    def __init__(self, corpus: Corpus, seed: int, max_hashes: int | None = None):
+    def __init__(self, corpus: Corpus, seed: int, max_hashes: int):
         measure = measure_for_mode(corpus.mode)
-        if max_hashes is None:
-            max_hashes = DEFAULT_MAX_BITS if measure == "cosine" else DEFAULT_MAX_INTS
         n_objects = len(corpus)
         self.measure = measure
         self.seed = int(seed)
@@ -365,7 +354,7 @@ class SignatureStore:
         keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)]
                                       + [_bucket_pairs(order, later) for order, later in runs]))
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        return MatchIndex(lo, hi, keys[starts], np.diff(np.append(starts, len(keys))))
+        return MatchIndex(keys[starts], np.diff(np.append(starts, len(keys))))
 
     def count_matches_bulk(self, pairs: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Match counts over [lo, hi) for an (M, 2) array of index pairs.

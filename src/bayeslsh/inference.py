@@ -30,6 +30,9 @@ from .errors import NumericError
 
 _TINY = np.finfo(np.float64).tiny
 
+# required_hashes gives up once its bracket passes this many hashes
+_MAX_REQUIRED_HASHES = 1 << 20
+
 
 # --- frequentist baseline ---------------------------------------------------
 
@@ -54,58 +57,44 @@ def _binom_logpmf(m: np.ndarray, n: int, s: float) -> np.ndarray:
     )
 
 
-def _binomial_coverage(s: float, n: int, delta: float, inclusive: bool) -> float:
+def _binomial_coverage(s: float, n: int, delta: float) -> float:
     """Pr[lo <= Binomial(n, s) <= hi] for the integer band around s*n.
 
-    With inclusive=False the band is rounded inward (ceil of the lower
-    endpoint, floor of the upper); inclusive=True rounds outward so any m
-    whose interval [m/n - delta, m/n + delta] touches s is counted.
+    The band is rounded outward (floor of the lower endpoint, ceil of the
+    upper), so any m whose interval [m/n - delta, m/n + delta] touches s is
+    counted.
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must be in (0, 1)")
     if n <= 0:
         raise ValueError("n must be positive")
-    if inclusive:
-        lo = math.floor((s - delta) * n)
-        hi = math.ceil((s + delta) * n)
-    else:
-        lo = math.ceil((s - delta) * n)
-        hi = math.floor((s + delta) * n)
-    lo, hi = max(lo, 0), min(hi, n)
-    if lo > hi:
-        return 0.0
+    lo = max(math.floor((s - delta) * n), 0)
+    hi = min(math.ceil((s + delta) * n), n)
     if lo == 0 and hi == n:
         return 1.0
     return float(np.exp(_binom_logpmf(np.arange(lo, hi + 1), n, s)).sum())
 
 
-def ml_concentration_prob(s: float, n: int, delta: float) -> float:
-    """Exact Pr[|m/n - s| < delta] under Binomial(n, s), bounds rounded inward."""
-    return _binomial_coverage(s, n, delta, inclusive=False)
-
-
-def required_hashes(
-    s: float, delta: float, gamma: float, grid: int = 16, n_max: int = 1 << 20
-) -> int:
+def required_hashes(s: float, delta: float, gamma: float, grid: int = 16) -> int:
     """Smallest hash count (on a 16-hash grid) concentrating the ML estimate.
 
     Finds the least grid-aligned n with Pr[|m/n - s| <= delta] >= 1 - gamma,
     by exponential bracketing, bisection on the grid, and a final slide to
-    the lower edge of the satisfying run. Uses inclusive (outward-rounded)
-    integer bounds: the strict inward variant overstates the requirement at
-    extreme similarities because the integer band degenerates there.
+    the lower edge of the satisfying run, on the outward-rounded band of
+    `_binomial_coverage`. Raises NumericError when the bracket passes 2^20
+    hashes.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
 
     def ok(n: int) -> bool:
-        return _binomial_coverage(s, n, delta, inclusive=True) >= 1.0 - gamma
+        return _binomial_coverage(s, n, delta) >= 1.0 - gamma
 
     lo, hi = 0, grid
     while not ok(hi):
         lo, hi = hi, hi * 2
-        if hi > n_max:
-            raise NumericError(f"no hash count below {n_max} concentrates s={s}")
+        if hi > _MAX_REQUIRED_HASHES:
+            raise NumericError(f"no hash count below {_MAX_REQUIRED_HASHES} concentrates s={s}")
     while hi - lo > grid:
         mid = (lo + hi) // (2 * grid) * grid
         if ok(mid):
@@ -135,15 +124,15 @@ class BetaParams:
 UNIFORM_PRIOR = BetaParams(1.0, 1.0)
 
 
-def fit_beta_mom(samples, min_samples: int = 20) -> BetaParams:
+def fit_beta_mom(samples) -> BetaParams:
     """Method-of-moments Beta fit from similarity samples.
 
     Uses the population variance (divide by the sample count). Falls back
-    to the uniform Beta(1, 1) when there are fewer than `min_samples`
-    samples, the variance is zero, or the estimates come out non-positive.
+    to the uniform Beta(1, 1) when there are fewer than 20 samples, the
+    variance is zero, or the estimates come out non-positive.
     """
     arr = np.asarray(samples, dtype=np.float64)
-    if arr.size < max(min_samples, 2):
+    if arr.size < 20:
         return UNIFORM_PRIOR
     mean = float(arr.mean())
     var = float(arr.var())
@@ -307,37 +296,14 @@ def posterior_for_measure(measure: str, prior: BetaParams | None = None):
 # --- precomputed tables -----------------------------------------------------
 
 
-class MinMatchTable:
-    """Minimum match counts that keep Pr[S >= t | m, n] at or above epsilon.
+def build_minmatch_table(posterior, t: float, epsilon: float, k: int, max_hashes: int) -> dict[int, int]:
+    """The minMatches table: each batch boundary n to its least surviving match count.
 
-    Entries exist for n = k, 2k, ..., max_hashes. A value of n + 1 means no
-    match count survives at that many hashes. Built once per search so the
+    Maps n = k, 2k, ..., max_hashes to the least m with
+    Pr[S >= t | m, n] >= epsilon, found by binary search, or to n + 1 when
+    no match count survives at n hashes. Built once per search so the
     per-pair prune test is a single integer comparison.
     """
-
-    def __init__(self, t: float, epsilon: float, k: int, entries: dict[int, int]):
-        self.t = t
-        self.epsilon = epsilon
-        self.k = k
-        self._entries = entries
-
-    def min_matches(self, n: int) -> int:
-        try:
-            return self._entries[n]
-        except KeyError:
-            raise KeyError(f"no min-match entry for n={n} (batch size {self.k})") from None
-
-    def items(self):
-        return sorted(self._entries.items())
-
-    def to_tsv(self) -> str:
-        lines = [f"# t\t{self.t:g}\tepsilon\t{self.epsilon:g}", "# hashes\tmin_matches"]
-        lines.extend(f"{n}\t{m}" for n, m in self.items())
-        return "\n".join(lines) + "\n"
-
-
-def build_minmatch_table(posterior, t: float, epsilon: float, k: int, max_hashes: int) -> MinMatchTable:
-    """Binary-search the prune boundary for every batch-aligned hash count."""
     if k < 1:
         raise ValueError("batch size must be >= 1")
     entries: dict[int, int] = {}
@@ -354,7 +320,7 @@ def build_minmatch_table(posterior, t: float, epsilon: float, k: int, max_hashes
             else:
                 lo = mid + 1
         entries[n] = lo
-    return MinMatchTable(t, epsilon, k, entries)
+    return entries
 
 
 class ConcentrationCache:
@@ -401,6 +367,8 @@ def power_law_posterior_grid(
     """
     if gridpoints < 3:
         raise ValueError("need at least 3 grid points")
+    if not math.isfinite(exponent):
+        raise ValueError(f"prior exponent must be finite, got {exponent}")
     r = np.linspace(0.5, 1.0, gridpoints)
     logd = (m + exponent) * np.log(r)
     if n > m:

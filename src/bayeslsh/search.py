@@ -26,14 +26,14 @@ from . import corpus as corpus_mod
 from . import inference
 from .corpus import Corpus
 from .errors import UnsupportedMeasure
-from .hashing import DEFAULT_MAX_BITS, DEFAULT_MAX_INTS, SignatureStore
+from .hashing import SignatureStore
 
 GENERATORS = ("lsh", "allpairs", "bruteforce")
 VERIFIERS = ("bayeslsh", "bayeslsh-lite", "lsh-approx", "exact")
 
 _MEASURE_DEFAULTS = {
-    "cosine": {"lite_hashes": 128, "max_hashes": DEFAULT_MAX_BITS, "fixed_hashes": 2048, "band_width": 8},
-    "jaccard": {"lite_hashes": 64, "max_hashes": DEFAULT_MAX_INTS, "fixed_hashes": 360, "band_width": 4},
+    "cosine": {"lite_hashes": 128, "max_hashes": 4096, "fixed_hashes": 2048, "band_width": 8},
+    "jaccard": {"lite_hashes": 64, "max_hashes": 512, "fixed_hashes": 360, "band_width": 4},
 }
 
 _PRIOR_SAMPLE_CAP = 10_000
@@ -196,7 +196,7 @@ class BayesVerifier:
         list is counted a chunk at a time.
         """
         k, total = self.config.batch_hashes, len(pairs)
-        floor = self.table.min_matches(k)
+        floor = self.table[k]
         if floor >= 1 and isinstance(pairs, cand_mod.BruteforcePairs):
             index = self.store.match_index(0, k, total)
             if index is not None:
@@ -262,7 +262,7 @@ class BayesVerifier:
                 at, c = live[lo : lo + _CHUNK], m[lo : lo + _CHUNK]
                 if n > k:
                     c = c + self.store.count_matches_bulk(sub[at], n - k, n)
-                alive = c >= self.table.min_matches(n)
+                alive = c >= self.table[n]
                 v.pruned_at[at[~alive]] = n
                 v.hashes_used[at] = n
                 pruned[b] += len(at) - int(np.count_nonzero(alive))

@@ -271,7 +271,7 @@ def verify_pair_loop(verifier, i: int, j: int) -> tuple[int, int, float, bool]:
         n += k
         verifier.store.extend(n)
         m += verifier.store.count_matches(i, j, n - k, n)
-        if m < verifier.table.min_matches(n):
+        if m < verifier.table[n]:
             return n, n, 0.0, False
         concentrated, estimate = verifier.cache.lookup(m, n)
         if concentrated:

@@ -320,7 +320,7 @@ def test_criterion_09_banding_miss_rate():
     y = SparseVector(np.concatenate([common, [200]]), np.ones(19))
     corpus = Corpus(["x", "y"], [x, y], JACCARD, dim=256)
 
-    params = BandingParams(band_width=10, tables=9, eps_fn=0.03)
+    params = BandingParams(band_width=10, tables=9)
     trials = 200
     misses = 0
     for seed in range(trials):

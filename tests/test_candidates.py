@@ -100,7 +100,7 @@ class TestBanding:
     def test_insufficient_hashes_names_requirement(self):
         store = self._jaccard_pair_store(0)
         store.extend(64)
-        params = BandingParams(band_width=10, tables=9, eps_fn=0.03)
+        params = BandingParams(band_width=10, tables=9)
         with pytest.raises(ValueError, match="90"):
             lsh_banding_generate(store, params)
 
@@ -128,7 +128,7 @@ class TestBanding:
         corpus = generate_synthetic(
             80, 400, [(12, 0.95), (9, 0.9), (6, 0.8)], seed=3, mode=COSINE_WEIGHTED
         )
-        params = BandingParams(band_width=6, tables=8, eps_fn=0.03)
+        params = BandingParams(band_width=6, tables=8)
         store = SignatureStore(corpus, seed=3, max_hashes=64)
         store.extend(params.hashes_needed)
         expected, bucket_sizes, emitted = set(), set(), 0

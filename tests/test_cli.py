@@ -156,6 +156,16 @@ class TestSearch:
         assert code == 3
         assert "line 2:" in err
 
+    @pytest.mark.parametrize("mode", ["cosine-binary", "cosine-weighted"])
+    def test_feature_beyond_int64_is_input_error(self, capsys, tmp_path, mode):
+        entry = "{}:1" if mode == "cosine-weighted" else "{}"
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"a\t{entry.format(1)}\nb\t{entry.format(10**20)} {entry.format(5)}\n",
+                        encoding="utf-8")
+        code, _, err = _run(capsys, ["search", str(path), "--mode", mode, "-t", "0.5"])
+        assert code == 3
+        assert "line 2: feature 100000000000000000000 exceeds" in err
+
     def test_bad_threshold_is_usage_error(self, capsys, cosine_file):
         code, _, err = _run(
             capsys,
@@ -362,6 +372,12 @@ class TestRequiredHashes:
         assert code == 2
         assert "outside" in err
 
+    def test_no_concentrating_count_below_the_cap_is_numeric_failure(self, capsys):
+        code, _, err = _run(capsys, ["required-hashes", "-s", "0.5", "--delta", "1e-5",
+                                     "--gamma", "1e-6"])
+        assert code == 4
+        assert "numeric failure: no hash count below 1048576 concentrates s=0.5" in err
+
 
 class TestPriorDemo:
     def test_density_is_normalized(self, capsys):
@@ -386,6 +402,13 @@ class TestPriorDemo:
     def test_m_above_n_rejected(self, capsys):
         code, _, _ = _run(capsys, ["prior-demo", "--pairs", "33:32"])
         assert code == 2
+
+    @pytest.mark.parametrize("exponent", ["inf", "nan"])
+    def test_non_finite_exponent_is_usage_error(self, capsys, exponent):
+        code, out, err = _run(capsys, ["prior-demo", "--exponents", exponent])
+        assert code == 2
+        assert "must be finite" in err
+        assert out == "# exponent\tm\tn\tr\tdensity\n"
 
 
 class TestPruningCurve:

@@ -138,6 +138,19 @@ class TestLoadCorpus:
             load_corpus(path, COSINE_WEIGHTED)
         assert f"line {lineno}" in str(exc.value)
 
+    @pytest.mark.parametrize("feature", [(1 << 63) - 1, 1 << 63, 10**20])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_feature_beyond_int64_is_refused_with_its_line(self, tmp_path, mode, feature):
+        entry = "{}:1" if mode == COSINE_WEIGHTED else "{}"
+        body = " ".join(entry.format(f) for f in (feature, 5))
+        path = _write(tmp_path, f"a\t{entry.format(1)}\nb\t{body}\n")
+        assert _outcome(load_corpus, path, mode) == _outcome(_per_line, path, mode)
+        if feature < 1 << 63:
+            assert int(load_corpus(path, mode).features.max()) == feature
+            return
+        with pytest.raises(ParseError, match=f"line 2: feature {feature} exceeds 2\\^63 - 1"):
+            load_corpus(path, mode)
+
     def test_weight_that_normalizes_to_zero_raises_as_line_by_line(self, tmp_path):
         path = _write(tmp_path, "a\t1:1\nb\t1:1e150 2:1e-200\n")
         got = _outcome(load_corpus, path, COSINE_WEIGHTED)

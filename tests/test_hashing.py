@@ -159,7 +159,7 @@ class TestFamilies:
             minhash_signature(fam, _set(), 0, 8)
         corpus = Corpus(["a", "b"], [_set(1, 2), _set()], JACCARD, dim=100)
         with pytest.raises(ValueError, match="empty set"):
-            SignatureStore(corpus, seed=3)
+            SignatureStore(corpus, seed=3, max_hashes=64)
 
 
 class TestCollisionLaw:

@@ -173,7 +173,7 @@ class TestBayesVerifier:
         k, used, pruned_at = cfg.batch_hashes, verdict.hashes_used[0], verdict.pruned_at[0]
         # (m, n, min_m) at every batch boundary the pair reached
         trace = [
-            (count_matches_loop(store, 0, 1, 0, n), n, verifier.table.min_matches(n))
+            (count_matches_loop(store, 0, 1, 0, n), n, verifier.table[n])
             for n in range(k, used + 1, k)
         ]
         assert trace
@@ -346,7 +346,7 @@ class TestBatchVerifier:
         monkeypatch.setattr(SignatureStore, "match_index", spy)
         store = SignatureStore(corpus, cfg.seed, cfg.max_hashes)
         verifier = BayesVerifier(store, posterior, cfg)
-        assert (verifier.table.min_matches(16) == 0) == (case == "floor-zero")
+        assert (verifier.table[16] == 0) == (case == "floor-zero")
         got = verifier.verify(pairs)
         # only a nonempty brute-force enumeration with minMatches(k) >= 1 asks
         # for an index; the two- and three-row lists share more hashes than
