@@ -42,16 +42,11 @@ from .inference import (
     ConcentrationCache,
     CosinePosterior,
     JaccardPosterior,
+    MaxLikelihoodPosterior,
     UNIFORM_PRIOR,
     build_minmatch_table,
     c2r,
-    cosine_concentration_prob,
-    cosine_map,
-    cosine_prune_prob,
     fit_beta_mom,
-    jaccard_concentration_prob,
-    jaccard_map,
-    jaccard_prune_prob,
     ml_estimate,
     posterior_for_measure,
     power_law_posterior_grid,

@@ -5,16 +5,19 @@ underlying per-hash collision probability is binomial. For the jaccard
 measure the collision probability equals the similarity itself and a Beta
 prior is conjugate; for the cosine measure the collision probability is
 r = 1 - theta/pi, restricted to [0.5, 1] for non-negative vectors, and a
-uniform prior on r is used. Three queries drive the search loop:
+uniform prior on r is used. Each posterior class answers the three
+queries that drive the search loop:
 
 * prune probability  Pr[S >= t | m, n]
 * the posterior mode (the similarity estimate)
 * concentration      Pr[|S - estimate| < delta | m, n]
 
-Both are regularized incomplete beta values from scipy.special: betainc
-for jaccard, betaincc for the cosine upper tails. The cosine ratio is taken
-in logs; a tail below the smallest normal float (the normalizer
-Pr[R >= 0.5] at large n) is summed there from the binomial identity.
+The prune and concentration probabilities are regularized incomplete beta
+values from scipy.special: betainc for jaccard, betaincc for the cosine
+upper tails. The cosine ratio is taken in logs; a tail below the smallest
+normal float (the normalizer Pr[R >= 0.5] at large n) is summed there from
+the binomial identity. The fixed-hash baseline answers the same queries
+from its maximum-likelihood estimate alone.
 """
 
 from __future__ import annotations
@@ -81,11 +84,14 @@ def required_hashes(s: float, delta: float, gamma: float, grid: int = 16) -> int
     Finds the least grid-aligned n with Pr[|m/n - s| <= delta] >= 1 - gamma,
     by exponential bracketing, bisection on the grid, and a final slide to
     the lower edge of the satisfying run, on the outward-rounded band of
-    `_binomial_coverage`. Raises NumericError when the bracket passes 2^20
-    hashes.
+    `_binomial_coverage`. Raises ValueError unless delta and gamma are in
+    (0, 1), and NumericError when the bracket passes 2^20 hashes.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
+    for name, value in (("delta", delta), ("gamma", gamma)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {value}")
 
     def ok(n: int) -> bool:
         return _binomial_coverage(s, n, delta) >= 1.0 - gamma
@@ -147,43 +153,7 @@ def fit_beta_mom(samples) -> BetaParams:
     return BetaParams(alpha, beta)
 
 
-# --- jaccard posterior ------------------------------------------------------
-
-
-def jaccard_prune_prob(prior: BetaParams, m: int, n: int, t: float) -> float:
-    """Pr[S >= t | m of n hashes matched] under a Beta prior."""
-    post = BetaParams(m + prior.alpha, n - m + prior.beta)
-    return float(betainc(post.beta, post.alpha, 1.0 - t))
-
-
-def jaccard_map(prior: BetaParams, m: int, n: int) -> float:
-    """Posterior similarity estimate (m+alpha-1)/(n+alpha+beta-1).
-
-    Posteriors with a shape parameter at or below 1 put their mode on the
-    matching boundary, so those return exactly 0 or 1.
-    """
-    a = m + prior.alpha
-    b = n - m + prior.beta
-    if a <= 1.0 and b > 1.0:
-        return 0.0
-    if b <= 1.0 and a > 1.0:
-        return 1.0
-    if a <= 1.0 and b <= 1.0:
-        return 1.0 if a >= b else 0.0
-    return (m + prior.alpha - 1.0) / (n + prior.alpha + prior.beta - 1.0)
-
-
-def jaccard_concentration_prob(
-    prior: BetaParams, m: int, n: int, estimate: float, delta: float
-) -> float:
-    """Pr[|S - estimate| < delta | m, n]; integration limits clamped to [0, 1]."""
-    post = BetaParams(m + prior.alpha, n - m + prior.beta)
-    hi = min(estimate + delta, 1.0)
-    lo = max(estimate - delta, 0.0)
-    return max(0.0, float(betainc(post.alpha, post.beta, hi) - betainc(post.alpha, post.beta, lo)))
-
-
-# --- cosine posterior -------------------------------------------------------
+# --- posteriors -------------------------------------------------------------
 
 
 def r2c(r: float) -> float:
@@ -212,75 +182,103 @@ def _log_upper_mass(x: float, a: float, b: float) -> float:
     return float(logsumexp(_binom_logpmf(np.arange(int(a)), int(a + b) - 1, x)))
 
 
-def cosine_prune_prob(m: int, n: int, t: float) -> float:
-    """Pr[S >= t | m, n] under the uniform prior on r in [0.5, 1].
-
-    Both posterior tails carry a common normalizer Pr[R >= 0.5] that can
-    underflow linear floats for large n, so the ratio is taken in logs.
-    """
-    a, b = m + 1.0, n - m + 1.0
-    t_r = c2r(t)
-    num = _log_upper_mass(t_r, a, b)
-    den = _log_upper_mass(0.5, a, b)
-    if num == -math.inf:
-        return 0.0
-    return min(1.0, math.exp(num - den))
-
-
-def cosine_map(m: int, n: int) -> float:
-    """Posterior mode mapped to cosine; collision rates below 0.5 clamp to 0."""
-    r_hat = 0.5 if n == 0 else max(m / n, 0.5)
-    return r2c(min(r_hat, 1.0))
-
-
-def cosine_concentration_prob(m: int, n: int, estimate: float, delta: float) -> float:
-    """Pr[|S - estimate| < delta | m, n] on the restricted posterior."""
-    a, b = m + 1.0, n - m + 1.0
-    s_hi = min(estimate + delta, 1.0)
-    s_lo = estimate - delta
-    r_hi = c2r(s_hi)
-    r_lo = 0.5 if s_lo <= 0.0 else c2r(s_lo)
-    den = _log_upper_mass(0.5, a, b)
-    lo_term = math.exp(_log_upper_mass(r_lo, a, b) - den)
-    up = _log_upper_mass(r_hi, a, b)
-    hi_term = 0.0 if up == -math.inf else math.exp(up - den)
-    return max(0.0, min(1.0, lo_term - hi_term))
-
-
-# --- posterior objects ------------------------------------------------------
-
-
 class JaccardPosterior:
-    """Beta-prior posterior over jaccard similarity."""
+    """Beta-prior posterior over jaccard similarity.
 
-    measure = "jaccard"
+    A match count outside [0, n] leaves a posterior shape non-positive,
+    which `BetaParams` refuses with ValueError.
+    """
 
     def __init__(self, prior: BetaParams = UNIFORM_PRIOR):
         self.prior = prior
 
     def prune_prob(self, m: int, n: int, t: float) -> float:
-        return jaccard_prune_prob(self.prior, m, n, t)
+        """Pr[S >= t | m of n hashes matched]."""
+        post = BetaParams(m + self.prior.alpha, n - m + self.prior.beta)
+        return float(betainc(post.beta, post.alpha, 1.0 - t))
 
     def map_estimate(self, m: int, n: int) -> float:
-        return jaccard_map(self.prior, m, n)
+        """Posterior similarity estimate (m+alpha-1)/(n+alpha+beta-1).
+
+        Posteriors with a shape parameter at or below 1 put their mode on the
+        matching boundary, so those return exactly 0 or 1.
+        """
+        prior = self.prior
+        a, b = m + prior.alpha, n - m + prior.beta
+        if a <= 1.0 and b > 1.0:
+            return 0.0
+        if b <= 1.0 and a > 1.0:
+            return 1.0
+        if a <= 1.0 and b <= 1.0:
+            return 1.0 if a >= b else 0.0
+        return (m + prior.alpha - 1.0) / (n + prior.alpha + prior.beta - 1.0)
 
     def concentration_prob(self, m: int, n: int, estimate: float, delta: float) -> float:
-        return jaccard_concentration_prob(self.prior, m, n, estimate, delta)
+        """Pr[|S - estimate| < delta | m, n]; integration limits clamped to [0, 1]."""
+        post = BetaParams(m + self.prior.alpha, n - m + self.prior.beta)
+        hi = min(estimate + delta, 1.0)
+        lo = max(estimate - delta, 0.0)
+        mass = betainc(post.alpha, post.beta, hi) - betainc(post.alpha, post.beta, lo)
+        return max(0.0, float(mass))
 
 
 class CosinePosterior:
-    """Uniform-prior posterior over the collision rate r in [0.5, 1]."""
+    """Uniform-prior posterior over the collision rate r in [0.5, 1].
 
-    measure = "cosine"
+    Both posterior tails carry a common normalizer Pr[R >= 0.5] that can
+    underflow linear floats for large n, so their ratios are taken in logs.
+    """
 
     def prune_prob(self, m: int, n: int, t: float) -> float:
-        return cosine_prune_prob(m, n, t)
+        """Pr[S >= t | m, n]."""
+        a, b = m + 1.0, n - m + 1.0
+        num = _log_upper_mass(c2r(t), a, b)
+        den = _log_upper_mass(0.5, a, b)
+        if num == -math.inf:
+            return 0.0
+        return min(1.0, math.exp(num - den))
 
     def map_estimate(self, m: int, n: int) -> float:
-        return cosine_map(m, n)
+        """Posterior mode mapped to cosine; collision rates below 0.5 clamp to 0."""
+        r_hat = 0.5 if n == 0 else max(m / n, 0.5)
+        return r2c(min(r_hat, 1.0))
 
     def concentration_prob(self, m: int, n: int, estimate: float, delta: float) -> float:
-        return cosine_concentration_prob(m, n, estimate, delta)
+        """Pr[|S - estimate| < delta | m, n] on the restricted posterior."""
+        a, b = m + 1.0, n - m + 1.0
+        s_hi = min(estimate + delta, 1.0)
+        s_lo = estimate - delta
+        r_hi = c2r(s_hi)
+        r_lo = 0.5 if s_lo <= 0.0 else c2r(s_lo)
+        den = _log_upper_mass(0.5, a, b)
+        lo_term = math.exp(_log_upper_mass(r_lo, a, b) - den)
+        up = _log_upper_mass(r_hi, a, b)
+        hi_term = 0.0 if up == -math.inf else math.exp(up - den)
+        return max(0.0, min(1.0, lo_term - hi_term))
+
+
+class MaxLikelihoodPosterior:
+    """The fixed-hash baseline posed as a posterior: all mass on the ML estimate.
+
+    The estimate is m/n for jaccard and the cosine posterior's mode for
+    cosine. A pair survives exactly when its estimate reaches t, so the
+    minMatches entry at n is the least m whose estimate does, and every
+    estimate counts as concentrated.
+    """
+
+    def __init__(self, measure: str):
+        if measure == "cosine":
+            self.map_estimate = CosinePosterior().map_estimate
+        elif measure == "jaccard":
+            self.map_estimate = ml_estimate
+        else:
+            raise ValueError(f"unknown measure {measure!r}")
+
+    def prune_prob(self, m: int, n: int, t: float) -> float:
+        return float(self.map_estimate(m, n) >= t)
+
+    def concentration_prob(self, m: int, n: int, estimate: float, delta: float) -> float:
+        return 1.0
 
 
 def posterior_for_measure(measure: str, prior: BetaParams | None = None):

@@ -6,11 +6,15 @@ Verification strategies over a candidate list:
   early stop once the similarity estimate is concentrated.
 * ``bayeslsh-lite``: the same pruning on a fixed hash budget, then exact
   similarity for the survivors.
-* ``lsh-approx``: maximum-likelihood estimates from a fixed hash count.
+* ``lsh-approx``: maximum-likelihood estimates from a fixed hash count,
+  kept where they reach the threshold.
 * ``exact``: exact similarity for every candidate.
 
-The Bayesian verifiers step every live candidate of a chunk through the
-batch boundaries together, in one thread; output is sorted by index pair.
+All but ``exact`` run through one core, `BayesVerifier`: it steps every
+live candidate of a chunk through the batch boundaries together, in one
+thread. ``lsh-approx`` is that core with a single batch of the fixed hash
+count, decided by `inference.MaxLikelihoodPosterior`. Output is sorted by
+index pair.
 """
 
 from __future__ import annotations
@@ -168,13 +172,14 @@ class BayesVerifier:
     """Shared state for verifying candidate pairs against one store."""
 
     def __init__(self, store: SignatureStore, posterior, config: SearchConfig,
-                 budget: int | None = None):
+                 budget: int | None = None, batch: int | None = None):
         self.store = store
         self.posterior = posterior
         self.config = config
         self.budget = config.max_hashes if budget is None else budget
+        self.batch = config.batch_hashes if batch is None else batch
         self.table = inference.build_minmatch_table(
-            posterior, config.threshold, config.epsilon, config.batch_hashes, self.budget
+            posterior, config.threshold, config.epsilon, self.batch, self.budget
         )
         self.cache = inference.ConcentrationCache(posterior, config.delta, config.gamma)
 
@@ -195,7 +200,7 @@ class BayesVerifier:
         looked for in a brute-force enumeration, by arithmetic. Any other
         list is counted a chunk at a time.
         """
-        k, total = self.config.batch_hashes, len(pairs)
+        k, total = self.batch, len(pairs)
         floor = self.table[k]
         if floor >= 1 and isinstance(pairs, cand_mod.BruteforcePairs):
             index = self.store.match_index(0, k, total)
@@ -222,7 +227,7 @@ class BayesVerifier:
         use. No array spans the pairs pruned at the first boundary.
         """
         pairs = _pair_list(pairs)
-        k, budget, n_objects = self.config.batch_hashes, self.budget, self.store.n_objects
+        k, budget, n_objects = self.batch, self.budget, self.store.n_objects
         pruned = np.zeros(budget // k, dtype=np.int64)
         stopped = np.zeros(budget // k, dtype=np.int64)
         if budget < k or len(pairs) == 0:
@@ -330,11 +335,13 @@ def _default_store(corpus: Corpus, config: SearchConfig,
 
 
 def _verify_run(corpus: Corpus, pairs, config: SearchConfig,
-                store: SignatureStore | None, budget: int, exact: bool):
+                store: SignatureStore | None, budget: int, exact: bool, posterior=None):
     """Prune on up to `budget` hashes, then emit posterior or exact estimates.
 
     An exact run with a zero budget hashes nothing and verifies every
-    candidate exactly. Jaccard runs fit their prior on the candidates.
+    candidate exactly. A given `posterior` decides one batch of `budget`
+    hashes; otherwise the measure's posterior decides batches of the
+    configured size, and jaccard runs fit its prior on the candidates.
     """
     pairs = _pair_list(pairs)
     stats = SearchStats(candidates=len(pairs))
@@ -343,12 +350,15 @@ def _verify_run(corpus: Corpus, pairs, config: SearchConfig,
         stats.exact_computed = len(pairs)
         stats.emitted = len(out)
         return out, stats
-    if config.measure == "jaccard":
-        stats.prior = fit_candidate_prior(corpus, pairs, config.seed)
-        stats.exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
-    posterior = inference.posterior_for_measure(config.measure, stats.prior)
+    k = budget
+    if posterior is None:
+        k = config.batch_hashes
+        if config.measure == "jaccard":
+            stats.prior = fit_candidate_prior(corpus, pairs, config.seed)
+            stats.exact_computed = min(_PRIOR_SAMPLE_CAP, len(pairs))
+        posterior = inference.posterior_for_measure(config.measure, stats.prior)
     store = _default_store(corpus, config, store)
-    v = BayesVerifier(store, posterior, config, budget).verify(pairs)
+    v = BayesVerifier(store, posterior, config, budget, k).verify(pairs)
     kept = v.pruned_at == 0
     if exact:
         out = _emit(corpus, pairs[v.passed[kept]], config, None)
@@ -357,7 +367,6 @@ def _verify_run(corpus: Corpus, pairs, config: SearchConfig,
         out = _emit(corpus, pairs[v.passed[kept]], config,
                     v.estimate[kept], v.low_confidence[kept])
     stats.emitted = len(out)
-    k = config.batch_hashes
     stats.survivors = _survivor_counts(v.pruned, len(pairs), k)
     stats.pruned = {(b + 1) * k: int(c) for b, c in enumerate(v.pruned.tolist())}
     stats.stopped = {(b + 1) * k: int(c) for b, c in enumerate(v.stopped.tolist())}
@@ -396,21 +405,9 @@ def lsh_approx_run(
     config: SearchConfig,
     store: SignatureStore | None = None,
 ) -> tuple[list[OutputPair], SearchStats]:
-    """Fixed-hash-count maximum-likelihood estimates, no pruning."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    store = _default_store(corpus, config, store)
-    n = config.fixed_hashes
-    store.extend(n)
-    estimate_of = inference.cosine_map if config.measure == "cosine" else inference.ml_estimate
-    estimate = np.zeros(len(pairs), dtype=np.float64)
-    for lo in range(0, len(pairs), _CHUNK):
-        counts = store.count_matches_bulk(pairs[lo : lo + _CHUNK], 0, n)
-        distinct, inverse = np.unique(counts, return_inverse=True)
-        looked = np.array([estimate_of(int(m), n) for m in distinct], dtype=np.float64)
-        estimate[lo : lo + len(counts)] = looked[inverse]
-    keep = np.flatnonzero(estimate >= config.threshold)
-    out = _emit(corpus, pairs[keep], config, estimate[keep])
-    return out, SearchStats(candidates=len(pairs), emitted=len(out))
+    """Maximum-likelihood estimates from one batch of `fixed_hashes`; keep those reaching t."""
+    posterior = inference.MaxLikelihoodPosterior(config.measure)
+    return _verify_run(corpus, pairs, config, store, config.fixed_hashes, False, posterior)
 
 
 def exact_run(

@@ -137,9 +137,10 @@ def test_criterion_03_posterior_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
     worst = 0.0
+    cosine = inference.CosinePosterior()
     for _ in range(100):
         alpha, beta = rng.uniform(0.5, 8.0, size=2)
-        prior = inference.BetaParams(alpha, beta)
+        posterior = inference.JaccardPosterior(inference.BetaParams(alpha, beta))
         n = int(rng.integers(8, 513))
         m = int(rng.integers(0, n + 1))
         t = float(rng.uniform(0.05, 0.95))
@@ -147,15 +148,15 @@ def test_criterion_03_posterior_oracle_equivalence():
         worst = max(
             worst,
             abs(
-                inference.jaccard_prune_prob(prior, m, n, t)
+                posterior.prune_prob(m, n, t)
                 - jaccard_prune_oracle(alpha, beta, m, n, t)
             ),
         )
-        est = inference.jaccard_map(prior, m, n)
+        est = posterior.map_estimate(m, n)
         worst = max(
             worst,
             abs(
-                inference.jaccard_concentration_prob(prior, m, n, est, d)
+                posterior.concentration_prob(m, n, est, d)
                 - jaccard_concentration_oracle(alpha, beta, m, n, est, d)
             ),
         )
@@ -166,13 +167,13 @@ def test_criterion_03_posterior_oracle_equivalence():
         d = float(rng.uniform(0.01, 0.2))
         worst = max(
             worst,
-            abs(inference.cosine_prune_prob(m, n, t) - cosine_prune_oracle(m, n, t)),
+            abs(cosine.prune_prob(m, n, t) - cosine_prune_oracle(m, n, t)),
         )
-        est = inference.cosine_map(m, n)
+        est = cosine.map_estimate(m, n)
         worst = max(
             worst,
             abs(
-                inference.cosine_concentration_prob(m, n, est, d)
+                cosine.concentration_prob(m, n, est, d)
                 - cosine_concentration_oracle(m, n, est, d)
             ),
         )

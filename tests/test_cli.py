@@ -372,6 +372,16 @@ class TestRequiredHashes:
         assert code == 2
         assert "outside" in err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--gamma", "1.5"), ("--gamma", "0"), ("--gamma", "nan"),
+        ("--delta", "-0.1"), ("--delta", "0"), ("--delta", "nan"),
+    ])
+    def test_delta_and_gamma_outside_unit_interval_are_usage_errors(self, capsys, option, value):
+        code, out, err = _run(capsys, ["required-hashes", "-s", "0.5", option, value])
+        assert code == 2
+        assert f"{option[2:]} must be in (0, 1)" in err
+        assert "0.5\t" not in out
+
     def test_no_concentrating_count_below_the_cap_is_numeric_failure(self, capsys):
         code, _, err = _run(capsys, ["required-hashes", "-s", "0.5", "--delta", "1e-5",
                                      "--gamma", "1e-6"])

@@ -13,13 +13,10 @@ from bayeslsh.inference import (
     ConcentrationCache,
     build_minmatch_table,
     c2r,
-    cosine_concentration_prob,
-    cosine_map,
-    cosine_prune_prob,
+    CosinePosterior,
+    JaccardPosterior,
+    MaxLikelihoodPosterior,
     fit_beta_mom,
-    jaccard_concentration_prob,
-    jaccard_map,
-    jaccard_prune_prob,
     ml_estimate,
     posterior_for_measure,
     power_law_posterior_grid,
@@ -37,6 +34,9 @@ from oracles import (
     min_matches_linear,
 )
 
+_UNIFORM_JACCARD = JaccardPosterior(UNIFORM_PRIOR)
+_COSINE = CosinePosterior()
+
 
 class TestRegIncBeta:
     """Posterior tails, which are regularized incomplete beta values.
@@ -48,16 +48,17 @@ class TestRegIncBeta:
 
     @pytest.mark.parametrize("a, b", [(1, 1), (0.5, 3), (7, 2.5), (40, 60)])
     def test_boundaries(self, a, b):
-        assert jaccard_prune_prob(BetaParams(a, b), 0, 0, 1.0) == 0.0
-        assert jaccard_prune_prob(BetaParams(a, b), 0, 0, 0.0) == 1.0
+        assert JaccardPosterior(BetaParams(a, b)).prune_prob(0, 0, 1.0) == 0.0
+        assert JaccardPosterior(BetaParams(a, b)).prune_prob(0, 0, 0.0) == 1.0
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 7.0])
     def test_symmetric_midpoint(self, a):
-        assert jaccard_prune_prob(BetaParams(a, a), 0, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
+        got = JaccardPosterior(BetaParams(a, a)).prune_prob(0, 0, 0.5)
+        assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_cdf(self):
         for t in np.linspace(0.05, 0.95, 10):
-            assert jaccard_prune_prob(UNIFORM_PRIOR, 0, 0, float(t)) == pytest.approx(
+            assert _UNIFORM_JACCARD.prune_prob(0, 0, float(t)) == pytest.approx(
                 1.0 - t, abs=1e-12
             )
 
@@ -67,7 +68,7 @@ class TestRegIncBeta:
             a = float(rng.uniform(0.5, 8.0))
             b = float(rng.uniform(0.5, 8.0))
             t = float(rng.uniform(0.0, 1.0))
-            assert jaccard_prune_prob(BetaParams(a, b), 0, 0, t) == pytest.approx(
+            assert JaccardPosterior(BetaParams(a, b)).prune_prob(0, 0, t) == pytest.approx(
                 jaccard_prune_oracle(a, b, 0, 0, t), abs=1e-8
             )
 
@@ -76,20 +77,20 @@ class TestRegIncBeta:
         # (2 (1 - r_t))^(n+1); at n = 4096 both tails underflow a float
         for n in (128, 1024, 4096):
             for t in (0.01, 0.05):
-                assert cosine_prune_prob(0, n, t) == pytest.approx(
+                assert _COSINE.prune_prob(0, n, t) == pytest.approx(
                     (2.0 * (1.0 - c2r(t))) ** (n + 1), rel=1e-11
                 )
 
     def test_nonpositive_shapes_rejected(self):
         # a match count outside [0, n] can leave a posterior shape at or below 0
         with pytest.raises(ValueError):
-            cosine_prune_prob(-1, 4, 0.7)
+            _COSINE.prune_prob(-1, 4, 0.7)
         with pytest.raises(ValueError):
-            cosine_concentration_prob(5, 4, 0.9, 0.05)
+            _COSINE.concentration_prob(5, 4, 0.9, 0.05)
         with pytest.raises(ValueError):
-            jaccard_prune_prob(UNIFORM_PRIOR, 6, 4, 0.7)
+            _UNIFORM_JACCARD.prune_prob(6, 4, 0.7)
         with pytest.raises(ValueError):
-            jaccard_concentration_prob(UNIFORM_PRIOR, 6, 4, 0.9, 0.05)
+            _UNIFORM_JACCARD.concentration_prob(6, 4, 0.9, 0.05)
 
     def test_log_variant_consistent_where_representable(self):
         # the identity the underflow fallback sums in logs:
@@ -157,55 +158,54 @@ class TestBetaPrior:
 class TestJaccardPosterior:
     def test_prune_density_2s(self):
         # posterior after (1,1): density 2s; Pr[S >= .5] = 1 - .25
-        assert jaccard_prune_prob(UNIFORM_PRIOR, 1, 1, 0.5) == pytest.approx(0.75)
+        assert _UNIFORM_JACCARD.prune_prob(1, 1, 0.5) == pytest.approx(0.75)
 
     def test_prune_deep_tail_closed_form(self):
         n = 128
-        got = jaccard_prune_prob(UNIFORM_PRIOR, 0, n, 0.5)
+        got = _UNIFORM_JACCARD.prune_prob(0, n, 0.5)
         assert got < 1e-30
         assert got == pytest.approx(0.5 ** (n + 1), rel=1e-9)
 
     def test_prune_monotone_in_m_and_t(self):
-        probs = [jaccard_prune_prob(UNIFORM_PRIOR, m, 32, 0.6) for m in range(33)]
+        probs = [_UNIFORM_JACCARD.prune_prob(m, 32, 0.6) for m in range(33)]
         assert all(x <= y for x, y in zip(probs, probs[1:]))
-        over_t = [jaccard_prune_prob(UNIFORM_PRIOR, 20, 32, t) for t in (0.3, 0.5, 0.8)]
+        over_t = [_UNIFORM_JACCARD.prune_prob(20, 32, t) for t in (0.3, 0.5, 0.8)]
         assert all(x >= y for x, y in zip(over_t, over_t[1:]))
 
     def test_map_printed_formula(self):
-        assert jaccard_map(BetaParams(2.0, 2.0), 3, 4) == pytest.approx(4 / 7)
-        assert jaccard_map(UNIFORM_PRIOR, 3, 6) == pytest.approx(3 / 7)
+        assert JaccardPosterior(BetaParams(2.0, 2.0)).map_estimate(3, 4) == pytest.approx(4 / 7)
+        assert _UNIFORM_JACCARD.map_estimate(3, 6) == pytest.approx(3 / 7)
 
     def test_map_boundary_modes(self):
-        assert jaccard_map(UNIFORM_PRIOR, 5, 5) == 1.0
-        assert jaccard_map(UNIFORM_PRIOR, 0, 5) == 0.0
+        assert _UNIFORM_JACCARD.map_estimate(5, 5) == 1.0
+        assert _UNIFORM_JACCARD.map_estimate(0, 5) == 0.0
 
     def test_map_consistency_large_n(self):
         n = 10_000
         m = int(0.37 * n)
-        assert abs(jaccard_map(UNIFORM_PRIOR, m, n) - 0.37) < 0.01
+        assert abs(_UNIFORM_JACCARD.map_estimate(m, n) - 0.37) < 0.01
 
     def test_concentration_full_width(self):
-        assert jaccard_concentration_prob(UNIFORM_PRIOR, 3, 7, 0.5, 1.0) == 1.0
+        assert _UNIFORM_JACCARD.concentration_prob(3, 7, 0.5, 1.0) == 1.0
 
     def test_concentration_cdf_pin(self):
         # posterior Beta(2,1): cdf s^2; I_1 - I_0.9 = 1 - 0.81
-        assert jaccard_concentration_prob(
-            UNIFORM_PRIOR, 1, 1, 1.0, 0.1
-        ) == pytest.approx(0.19)
+        assert _UNIFORM_JACCARD.concentration_prob(1, 1, 1.0, 0.1) == pytest.approx(0.19)
 
     def test_prune_and_concentration_vs_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             prior = BetaParams(float(rng.uniform(0.5, 4)), float(rng.uniform(0.5, 4)))
+            posterior = JaccardPosterior(prior)
             n = int(rng.integers(1, 300))
             m = int(rng.integers(0, n + 1))
             t = float(rng.uniform(0.1, 0.9))
             d = float(rng.uniform(0.01, 0.3))
-            assert jaccard_prune_prob(prior, m, n, t) == pytest.approx(
+            assert posterior.prune_prob(m, n, t) == pytest.approx(
                 jaccard_prune_oracle(prior.alpha, prior.beta, m, n, t), abs=1e-8
             )
-            est = jaccard_map(prior, m, n)
-            assert jaccard_concentration_prob(prior, m, n, est, d) == pytest.approx(
+            est = posterior.map_estimate(m, n)
+            assert posterior.concentration_prob(m, n, est, d) == pytest.approx(
                 jaccard_concentration_oracle(prior.alpha, prior.beta, m, n, est, d),
                 abs=1e-8,
             )
@@ -221,19 +221,19 @@ class TestCosinePosterior:
 
     def test_prune_uniform_prior_mass(self):
         for t in (0.3, 0.5, 0.9):
-            assert cosine_prune_prob(0, 0, t) == pytest.approx(
+            assert _COSINE.prune_prob(0, 0, t) == pytest.approx(
                 (1.0 - c2r(t)) / 0.5, rel=1e-12
             )
 
     def test_prune_appendix_scenario_vs_oracle(self):
-        assert cosine_prune_prob(24, 32, 0.7) == pytest.approx(
+        assert _COSINE.prune_prob(24, 32, 0.7) == pytest.approx(
             cosine_prune_oracle(24, 32, 0.7), abs=1e-8
         )
 
     def test_prune_all_matches_closed_form(self):
         n = 256
         t = 0.9
-        got = cosine_prune_prob(n, n, t)
+        got = _COSINE.prune_prob(n, n, t)
         assert got >= 0.99
         tr = c2r(t)
         assert got == pytest.approx(
@@ -241,32 +241,33 @@ class TestCosinePosterior:
         )
 
     def test_prune_monotone(self):
-        probs = [cosine_prune_prob(m, 64, 0.6) for m in range(0, 65, 4)]
+        probs = [_COSINE.prune_prob(m, 64, 0.6) for m in range(0, 65, 4)]
         assert all(x <= y for x, y in zip(probs, probs[1:]))
 
     def test_map_pins(self):
-        assert cosine_map(8, 8) == 1.0
-        assert cosine_map(3, 4) == pytest.approx(math.cos(math.pi / 4))
-        assert cosine_map(1, 4) == pytest.approx(0.0, abs=1e-12)
+        assert _COSINE.map_estimate(8, 8) == 1.0
+        assert _COSINE.map_estimate(3, 4) == pytest.approx(math.cos(math.pi / 4))
+        assert _COSINE.map_estimate(1, 4) == pytest.approx(0.0, abs=1e-12)
 
     def test_map_consistency_large_n(self):
         n = 10_000
         m = int(0.8 * n)
-        assert abs(cosine_map(m, n) - r2c(0.8)) < 0.01
+        assert abs(_COSINE.map_estimate(m, n) - r2c(0.8)) < 0.01
 
     def test_concentration_full_width(self):
-        assert cosine_concentration_prob(10, 32, 0.5, 1.0) == 1.0
+        assert _COSINE.concentration_prob(10, 32, 0.5, 1.0) == 1.0
 
     def test_concentration_sharpens_with_n(self):
         vals = [
-            cosine_concentration_prob(int(0.8 * n), n, cosine_map(int(0.8 * n), n), 0.05)
+            _COSINE.concentration_prob(m, n, _COSINE.map_estimate(m, n), 0.05)
             for n in (64, 256, 1024)
+            for m in [int(0.8 * n)]
         ]
         assert vals[0] < vals[1] < vals[2]
 
     def test_low_estimate_clamps_to_support_edge(self):
-        est = cosine_map(2, 64)  # m/n far below 0.5 -> estimate 0
-        got = cosine_concentration_prob(2, 64, est, 0.05)
+        est = _COSINE.map_estimate(2, 64)  # m/n far below 0.5 -> estimate 0
+        got = _COSINE.concentration_prob(2, 64, est, 0.05)
         assert got == pytest.approx(
             cosine_concentration_oracle(2, 64, est, 0.05), abs=1e-8
         )
@@ -278,11 +279,11 @@ class TestCosinePosterior:
             m = int(rng.integers(0, n + 1))
             t = float(rng.uniform(0.1, 0.9))
             d = float(rng.uniform(0.01, 0.3))
-            assert cosine_prune_prob(m, n, t) == pytest.approx(
+            assert _COSINE.prune_prob(m, n, t) == pytest.approx(
                 cosine_prune_oracle(m, n, t), abs=1e-8
             )
-            est = cosine_map(m, n)
-            assert cosine_concentration_prob(m, n, est, d) == pytest.approx(
+            est = _COSINE.map_estimate(m, n)
+            assert _COSINE.concentration_prob(m, n, est, d) == pytest.approx(
                 cosine_concentration_oracle(m, n, est, d), abs=1e-8
             )
 
@@ -293,12 +294,12 @@ class TestCosinePosterior:
         for n in (1024, 2048, 4096):
             for m in (0, n // 8, n // 5, n // 3):
                 for t in (0.01, 0.05):
-                    assert cosine_prune_prob(m, n, t) == pytest.approx(
+                    assert _COSINE.prune_prob(m, n, t) == pytest.approx(
                         cosine_prune_oracle(m, n, t), abs=1e-8
                     ), (m, n, t)
-                est = cosine_map(m, n)
+                est = _COSINE.map_estimate(m, n)
                 for d in (0.01, 0.05):
-                    assert cosine_concentration_prob(m, n, est, d) == pytest.approx(
+                    assert _COSINE.concentration_prob(m, n, est, d) == pytest.approx(
                         cosine_concentration_oracle(m, n, est, d), abs=1e-8
                     ), (m, n, d)
 
@@ -312,7 +313,7 @@ class TestPosteriorCalibration:
         sims = rng.uniform(0.0, 1.0, size=draws)  # Beta(1,1) prior
         matches = rng.binomial(n, sims)
         table = np.array(
-            [jaccard_prune_prob(UNIFORM_PRIOR, m, n, t) for m in range(n + 1)]
+            [_UNIFORM_JACCARD.prune_prob(m, n, t) for m in range(n + 1)]
         )
         probs = table[matches]
         hits = sims >= t
@@ -323,7 +324,7 @@ class TestPosteriorCalibration:
         n, t, draws = 64, 0.6, 50_000
         rs = rng.uniform(0.5, 1.0, size=draws)  # the fixed uniform prior on r
         matches = rng.binomial(n, rs)
-        table = np.array([cosine_prune_prob(m, n, t) for m in range(n + 1)])
+        table = np.array([_COSINE.prune_prob(m, n, t) for m in range(n + 1)])
         probs = table[matches]
         hits = rs >= c2r(t)
         self._check_deciles(probs, hits)
@@ -336,19 +337,46 @@ class TestPosteriorCalibration:
 
 
 class TestPosteriorWrappers:
-    def test_measure_tags_and_dispatch(self):
+    def test_dispatch_by_measure(self):
         jac = posterior_for_measure("jaccard", BetaParams(2, 3))
         cos = posterior_for_measure("cosine")
-        assert jac.measure == "jaccard"
-        assert cos.measure == "cosine"
-        assert jac.prune_prob(5, 16, 0.4) == jaccard_prune_prob(BetaParams(2, 3), 5, 16, 0.4)
-        assert cos.map_estimate(12, 16) == cosine_map(12, 16)
+        assert isinstance(jac, JaccardPosterior) and jac.prior == BetaParams(2, 3)
+        assert isinstance(cos, CosinePosterior)
+        assert posterior_for_measure("jaccard").prior == UNIFORM_PRIOR
         with pytest.raises(ValueError):
             posterior_for_measure("euclidean")
 
     def test_cosine_rejects_prior(self):
         with pytest.raises(ValueError):
             posterior_for_measure("cosine", BetaParams(2, 2))
+
+
+class TestMaxLikelihoodPosterior:
+    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
+    def test_minmatch_entry_is_least_count_whose_estimate_reaches_t(self, measure):
+        post = MaxLikelihoodPosterior(measure)
+        if measure == "jaccard":
+            estimate = lambda m, n: m / n  # noqa: E731
+        else:
+            estimate = lambda m, n: r2c(max(m / n, 0.5))  # noqa: E731
+        for n in (1, 32, 360, 2048):
+            for t in (0.05, 0.5, 0.7, 0.95):
+                least = next(m for m in range(n + 1) if estimate(m, n) >= t)
+                assert post.map_estimate(least, n) == estimate(least, n)
+                assert build_minmatch_table(post, t, 0.03, n, n) == {n: least}, (n, t)
+
+    def test_an_estimate_equal_to_t_survives(self):
+        post = MaxLikelihoodPosterior("jaccard")
+        assert build_minmatch_table(post, 0.5, 0.03, 360, 360) == {360: 180}
+        assert post.prune_prob(180, 360, 0.5) == 1.0
+        assert post.prune_prob(179, 360, 0.5) == 0.0
+
+    def test_every_estimate_is_concentrated(self):
+        for measure in ("jaccard", "cosine"):
+            post = MaxLikelihoodPosterior(measure)
+            assert post.concentration_prob(3, 360, post.map_estimate(3, 360), 1e-9) == 1.0
+        with pytest.raises(ValueError):
+            MaxLikelihoodPosterior("euclidean")
 
 
 class TestMinMatchTable:

@@ -62,7 +62,7 @@ def _expand(v: search.Verdicts, total: int, k: int) -> _DenseVerdicts:
 
 
 def _verify_dense(verifier: BayesVerifier, pairs) -> _DenseVerdicts:
-    return _expand(verifier.verify(pairs), len(pairs), verifier.config.batch_hashes)
+    return _expand(verifier.verify(pairs), len(pairs), verifier.batch)
 
 
 def _cosine_pair_corpus(sim: float) -> Corpus:
@@ -463,7 +463,7 @@ class TestRunners:
         counts = store.count_matches_bulk(pairs, 0, 512)
         expected = []
         for (i, j), m in zip(pairs, counts):
-            est = inference.cosine_map(int(m), 512)
+            est = inference.CosinePosterior().map_estimate(int(m), 512)
             if est >= cfg.threshold:
                 expected.append((int(i), int(j), est))
         got = [(p.i, p.j, p.estimate) for p in out]
@@ -479,6 +479,34 @@ class TestRunners:
         for p in out:
             m = store.count_matches(p.i, p.j, 0, 256)
             assert p.estimate == inference.ml_estimate(m, 256)
+
+    @pytest.mark.parametrize("measure", ["jaccard", "cosine"])
+    def test_lsh_approx_never_materialises_a_bruteforce_list(
+        self, small_cosine, small_jaccard, monkeypatch, measure
+    ):
+        bundle = small_cosine if measure == "cosine" else small_jaccard
+        cfg = SearchConfig(measure, 0.5, verifier="lsh-approx", seed=bundle.seed)
+        enumerated = bruteforce_generate(len(bundle.corpus))
+        materialised = np.asarray(enumerated)
+
+        def refuse(pairs, dtype=None, copy=None):
+            raise AssertionError("the brute-force list was materialised")
+
+        monkeypatch.setattr(type(enumerated), "__array__", refuse)
+        got = lsh_approx_run(bundle.corpus, enumerated, cfg, store=bundle.store())
+        assert got[0]
+        assert got == lsh_approx_run(bundle.corpus, materialised, cfg, store=bundle.store())
+
+    def test_lsh_approx_keeps_an_estimate_equal_to_the_threshold(self, small_jaccard, monkeypatch):
+        # 180 of 360 hashes give the ML estimate 0.5, which reaches t = 0.5
+        pairs = np.array([[0, 1], [2, 3]], dtype=np.int64)
+        monkeypatch.setattr(SignatureStore, "count_matches_bulk",
+                            lambda store, p, lo, hi: np.array([180, 179])[: len(p)])
+        cfg = SearchConfig("jaccard", 0.5, fixed_hashes=360, seed=small_jaccard.seed)
+        store = small_jaccard.store(512)
+        out, stats = lsh_approx_run(small_jaccard.corpus, pairs, cfg, store=store)
+        assert [(p.i, p.j, p.estimate) for p in out] == [(0, 1, 0.5)]
+        assert stats.survivors == {360: 1}
 
 
 class TestPriorFitting:
@@ -773,6 +801,14 @@ _PINNED_TSV_SHA256 = {
         "3515db7f01c306e345d65df1307d6e25c6c5d3b1f9377f16dcbce996263caa51",
     ("cosine", "allpairs", "exact"):
         "3ec462218e917cf8556786be9d30bd7ace02993c1c7e6226038235638d3d9403",
+    ("cosine", "bruteforce", "bayeslsh"):
+        "dc83f0e5c2e61238b4b4695d0f214c68e970069f92717861269411a77d05f3a3",
+    ("cosine", "bruteforce", "bayeslsh-lite"):
+        "5ff15c95e675f95e2fec19909099d0a121b86d9cd931ebdcaf28b96a8f74f175",
+    ("cosine", "bruteforce", "lsh-approx"):
+        "21802a09d3c951ca7cf8aba073e0b85a7751e63f5cee09a6f31765263c8bb663",
+    ("cosine", "bruteforce", "exact"):
+        "df1871a06fbd8b35ed38c4aadb26c2cd58f13aa1b4d0c12f2770f9e6a6f23fc6",
     ("jaccard", "lsh", "bayeslsh"):
         "ab15079c854ebe88235a9fcbdcbc74eff17721e8af1b619423202f0e7a6859a4",
     ("jaccard", "lsh", "bayeslsh-lite"):
@@ -785,6 +821,10 @@ _PINNED_TSV_SHA256 = {
         "d384a86c95fdef42c22bfbf4bde8f5177f183e7b09adb2934fc033d0d880967c",
     ("jaccard", "bruteforce", "bayeslsh-lite"):
         "b4e1b293dd1a396f48fe5c3ed65fa78aa1d27c6f987b436297a370dd5d14b2e7",
+    ("jaccard", "bruteforce", "lsh-approx"):
+        "705c85b199756c3631ef2016bc98146e2683c578752d454aaba4ab661bacfe39",
+    ("jaccard", "bruteforce", "exact"):
+        "dcaa667a645f662f2650923612fc5e06beae2c489a15294603d3723efe31b7c1",
 }
 
 
