@@ -21,12 +21,12 @@ from .corpus import (
     MODES,
     Corpus,
     SparseVector,
+    exact_above,
     exact_similarities,
     exact_similarity,
     generate_synthetic,
     load_corpus,
     serialize_corpus,
-    similarity_matrix,
     tfidf_weight,
 )
 from .errors import GuardError, NumericError, ParseError, UnsupportedMeasure

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from . import inference, search
+from .candidates import bruteforce_generate
 from .corpus import MODES, Corpus, measure_for_mode
 from .errors import GuardError, NumericError, ParseError, UnsupportedMeasure
 
@@ -68,33 +69,28 @@ class EvalReport:
 def _score(corpus: Corpus, threshold: float, emitted: list[tuple[int, int, float]]) -> dict:
     """EvalReport's quality fields for emitted (i, j, estimate) rows against exact truth.
 
-    Quadratic cost. Errors cover every emitted pair, so the histogram buckets
-    sum to the emitted count; exact pairs contribute zero error.
+    Quadratic time; truth is scored a chunk of pairs at a time, so memory is
+    bounded by one chunk. Errors cover every emitted row; exact pairs
+    contribute zero error.
     """
-    sims = corpus_mod.similarity_matrix(corpus)
-    iu = np.triu_indices(len(corpus), k=1)
-    above = sims[iu] > threshold
-    truth = set(zip(iu[0][above].tolist(), iu[1][above].tolist()))
-    pairs = {(i, j) for i, j, _ in emitted}
-    tp = len(truth & pairs)
-    errors = [abs(est - float(sims[i, j])) for i, j, est in emitted]
-    histogram = dict.fromkeys((f"<={edge:g}" for edge in _HIST_EDGES), 0)
-    for err in errors:
-        for edge in _HIST_EDGES:
-            if err <= edge:
-                histogram[f"<={edge:g}"] += 1
-                break
+    n = len(corpus)
+    truth, _ = corpus_mod.exact_above(corpus, bruteforce_generate(n), threshold)
+    rows = np.array([(i, j) for i, j, _ in emitted], dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(rows[:, 0] * n + rows[:, 1])
+    tp = int(np.count_nonzero(np.isin(keys, truth[:, 0] * n + truth[:, 1])))
+    estimates = np.array([est for _, _, est in emitted], dtype=np.float64)
+    errors = np.abs(estimates - corpus_mod.exact_similarities(corpus, rows))
+    # an error e lands in the first bucket whose edge is >= e; NaN and e > 1 in none
+    buckets = np.bincount(np.searchsorted(_HIST_EDGES, errors), minlength=len(_HIST_EDGES))
     return {
         "truth_pairs": len(truth),
-        "emitted": len(pairs),
+        "emitted": len(keys),
         "true_positives": tp,
         "false_negatives": len(truth) - tp,
-        "recall": tp / len(truth) if truth else 1.0,
-        "mean_abs_error": float(np.mean(errors)) if errors else 0.0,
-        "frac_error_above_005": (
-            sum(1 for e in errors if e > 0.05) / len(errors) if errors else 0.0
-        ),
-        "error_histogram": histogram,
+        "recall": tp / len(truth) if len(truth) else 1.0,
+        "mean_abs_error": float(np.mean(errors)) if len(errors) else 0.0,
+        "frac_error_above_005": float(np.mean(errors > 0.05)) if len(errors) else 0.0,
+        "error_histogram": dict(zip((f"<={edge:g}" for edge in _HIST_EDGES), buckets.tolist())),
     }
 
 
@@ -191,16 +187,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_required_hashes(args) -> int:
-    if args.similarity:
-        grid = args.similarity
-    else:
-        grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    print(f"# delta\t{args.delta:g}\tgamma\t{args.gamma:g}")
-    print("# similarity\trequired_hashes")
+    grid = args.similarity or [round(0.05 * k, 2) for k in range(1, 20)]
     for s in grid:
         if not 0.0 < s < 1.0:
             raise ValueError(f"similarity {s} outside (0, 1)")
-        n = inference.required_hashes(s, args.delta, args.gamma, grid=args.grid)
+    # every count is found before the first line is printed, so an error leaves no output
+    counts = [inference.required_hashes(s, args.delta, args.gamma, grid=args.grid) for s in grid]
+    print(f"# delta\t{args.delta:g}\tgamma\t{args.gamma:g}")
+    print("# similarity\trequired_hashes")
+    for s, n in zip(grid, counts):
         print(f"{s:g}\t{n}")
     return 0
 
@@ -274,6 +269,8 @@ def _read_results_tsv(path) -> list[tuple[str, str, float]]:
             parts = line.split("\t")
             if len(parts) != 5:
                 raise ParseError(f"expected 5 columns, got {len(parts)}", lineno)
+            if parts[0] == parts[1]:
+                raise ParseError(f"id {parts[0]!r} is paired with itself", lineno)
             try:
                 rows.append((parts[0], parts[1], float(parts[2])))
             except ValueError:

@@ -44,6 +44,10 @@ _PAIR_GUARD = 10**8
 # block takes max(1, _EXACT_BLOCK // len(corpus)) distinct i rows
 _EXACT_BLOCK = 1 << 18
 
+# pairs per exact_similarities call in exact_above: one call for the 345,961
+# AllPairs candidates of the acceptance corpus (2^16-pair chunks took 12% longer)
+_ABOVE_CHUNK = 1 << 20
+
 # Lines load_corpus parses together. The bulk parser's temporaries take
 # about 10x the slice's text, and memory they leave behind can raise the
 # peak RSS of the search that follows, so slices stay small: 128 lines of
@@ -570,28 +574,26 @@ def exact_similarities(corpus: Corpus, pairs) -> np.ndarray:
     return np.divide(sims, union, out=np.zeros_like(sims), where=union > 0)
 
 
+def exact_above(corpus: Corpus, pairs, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `pairs` whose exact similarity is strictly above `threshold`, with it.
+
+    `pairs` is an (M, 2) array or anything that slices into one, such as a
+    `BruteforcePairs`; it is scored `_ABOVE_CHUNK` rows at a time, so memory
+    holds one chunk plus the kept rows, which keep their input order.
+    """
+    kept, values = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0, dtype=np.float64)]
+    for lo in range(0, len(pairs), _ABOVE_CHUNK):
+        chunk = np.asarray(pairs[lo : lo + _ABOVE_CHUNK], dtype=np.int64).reshape(-1, 2)
+        sims = exact_similarities(corpus, chunk)
+        above = sims > threshold
+        kept.append(chunk[above])
+        values.append(sims[above])
+    return np.concatenate(kept), np.concatenate(values)
+
+
 # stays until ROADMAP item 1's benchmark-only PR stops perfbench/worker.py wrapping it
 def exact_similarity(corpus: Corpus, i: int, j: int) -> float:
     return float(exact_similarities(corpus, [[i, j]])[0])
-
-
-def similarity_matrix(corpus: Corpus) -> np.ndarray:
-    """Dense all-pairs exact similarity matrix (brute-force oracle path)."""
-    n = len(corpus)
-    if n * (n - 1) // 2 > _PAIR_GUARD:
-        raise GuardError(f"all-pairs matrix would exceed {_PAIR_GUARD} pairs")
-    x = corpus.to_csr()
-    if is_cosine_mode(corpus.mode):
-        sims = np.asarray((x @ x.T).todense(), dtype=np.float64)
-        np.clip(sims, 0.0, 1.0, out=sims)
-    else:
-        inter = np.asarray((x @ x.T).todense(), dtype=np.float64)
-        sizes = np.asarray(x.sum(axis=1), dtype=np.float64).ravel()
-        union = sizes[:, None] + sizes[None, :] - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(union > 0, inter / np.maximum(union, 1e-300), 0.0)
-    np.fill_diagonal(sims, 1.0)
-    return sims
 
 
 def _sample_support(rng: np.random.Generator, dim: int, size: int) -> np.ndarray:

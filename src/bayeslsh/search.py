@@ -304,19 +304,17 @@ def _survivor_counts(pruned, total: int, k: int) -> dict[int, int]:
     return {(b + 1) * k: int(total - gone) for b, gone in enumerate(cumulative.tolist())}
 
 
-def _emit(corpus: Corpus, pairs: np.ndarray, config: SearchConfig,
+def _emit(corpus: Corpus, pairs, config: SearchConfig,
           estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> list:
     """Output pairs for the kept candidate `pairs`, sorted by index pair.
 
     `estimate` and `low_confidence` hold one entry per kept pair. With no
-    `estimate`, the pairs are verified exactly in one batch and emitted
-    only strictly above the threshold.
+    `estimate`, the pairs (an array or a `BruteforcePairs`) are verified
+    exactly a chunk at a time and emitted only strictly above the threshold.
     """
     exact = estimate is None
     if exact:
-        values = corpus_mod.exact_similarities(corpus, pairs)
-        above = values > config.threshold
-        pairs, values = pairs[above], values[above]
+        pairs, values = corpus_mod.exact_above(corpus, pairs, config.threshold)
     else:
         values = estimate
     low = np.zeros(len(pairs), dtype=bool) if low_confidence is None else low_confidence
@@ -346,7 +344,7 @@ def _verify_run(corpus: Corpus, pairs, config: SearchConfig,
     pairs = _pair_list(pairs)
     stats = SearchStats(candidates=len(pairs))
     if not budget and exact:
-        out = _emit(corpus, np.asarray(pairs), config, None)
+        out = _emit(corpus, pairs, config, None)
         stats.exact_computed = len(pairs)
         stats.emitted = len(out)
         return out, stats
@@ -457,13 +455,15 @@ def run_search(corpus: Corpus, config: SearchConfig) -> SearchResult:
     # hashing inside SignatureStore.extend is booked to "signatures" and
     # taken out of the stage that triggered it, so the stages sum to the search
     t0 = time.perf_counter()
-    store = _default_store(corpus, config)
+    # a search that never hashes builds no store, so it takes rows no hash family can
+    hashes = config.generator == "lsh" or config.verifier != "exact"
+    store = _default_store(corpus, config) if hashes else None
     pairs = generate_candidates(corpus, config, store)
     generation = time.perf_counter() - t0
-    hashed = store.extend_seconds
+    hashed = store.extend_seconds if hashes else 0.0
 
     t0 = time.perf_counter()
-    if config.fresh_verification_hashes:
+    if config.fresh_verification_hashes and config.verifier != "exact":
         verify_seed = int(
             np.random.SeedSequence(config.seed, spawn_key=(0x5EED,)).generate_state(1)[0]
         )
@@ -479,8 +479,8 @@ def run_search(corpus: Corpus, config: SearchConfig) -> SearchResult:
         out, stats = lsh_approx_run(corpus, pairs, config, verify_store)
     else:
         out, stats = exact_run(corpus, pairs, config)
-    stores = {store, verify_store}
-    signatures = sum(s.extend_seconds for s in stores)
+    stores = {store, verify_store} - {None}
+    signatures = sum((s.extend_seconds for s in stores), 0.0)
     stats.hash_evals = sum(s.hash_evals for s in stores)
     stats.timings = {
         "signatures": signatures,

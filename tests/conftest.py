@@ -2,9 +2,9 @@
 
 The acceptance-scale corpora (2,000 vectors) are expensive, so they are
 built lazily through a session-scoped factory and reused by every test
-that needs them. Bundles cache similarity matrices, truth sets, candidate
-arrays, and signature stores keyed by their parameters; all of it is
-deterministic in the bundle seed.
+that needs them. Bundles cache truth sets, candidate arrays, and signature
+stores keyed by their parameters; all of it is deterministic in the
+bundle seed.
 """
 
 from __future__ import annotations
@@ -41,25 +41,24 @@ class CorpusBundle:
         self.corpus = corpus_mod.generate_synthetic(
             n, dim, list(planted), seed=seed, mode=mode
         )
-        self._sims = None
         self._truth: dict[float, set] = {}
         self._cands: dict[float, np.ndarray] = {}
         self._store: SignatureStore | None = None
 
-    @property
-    def sims(self) -> np.ndarray:
-        if self._sims is None:
-            self._sims = corpus_mod.similarity_matrix(self.corpus)
-        return self._sims
+    def sims(self, pairs) -> np.ndarray:
+        """Exact similarity of each (i, j) row of `pairs`."""
+        return corpus_mod.exact_similarities(self.corpus, pairs)
+
+    def errors(self, out) -> np.ndarray:
+        """|estimate - exact similarity| of each emitted OutputPair."""
+        return np.abs([p.estimate for p in out] - self.sims([(p.i, p.j) for p in out]))
 
     def truth(self, threshold: float) -> set[tuple[int, int]]:
         """Index pairs with exact similarity strictly above the threshold."""
         if threshold not in self._truth:
-            iu = np.triu_indices(len(self.corpus), k=1)
-            above = self.sims[iu] > threshold
-            self._truth[threshold] = set(
-                zip(iu[0][above].tolist(), iu[1][above].tolist())
-            )
+            every = cand_mod.bruteforce_generate(len(self.corpus))
+            above, _ = corpus_mod.exact_above(self.corpus, every, threshold)
+            self._truth[threshold] = set(map(tuple, above.tolist()))
         return self._truth[threshold]
 
     def allpairs(self, threshold: float) -> np.ndarray:
@@ -76,13 +75,13 @@ class CorpusBundle:
 
 @pytest.fixture(scope="session")
 def bundles():
-    """Factory for the acceptance corpora, one per seed, built on first use."""
-    cache: dict[int, CorpusBundle] = {}
+    """Factory for the acceptance corpora, one per seed and mode, built on first use."""
+    cache: dict[tuple[int, str], CorpusBundle] = {}
 
-    def get(seed: int) -> CorpusBundle:
-        if seed not in cache:
-            cache[seed] = CorpusBundle(seed)
-        return cache[seed]
+    def get(seed: int, mode: str = corpus_mod.COSINE_WEIGHTED) -> CorpusBundle:
+        if (seed, mode) not in cache:
+            cache[seed, mode] = CorpusBundle(seed, mode)
+        return cache[seed, mode]
 
     return get
 

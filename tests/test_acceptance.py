@@ -18,8 +18,8 @@ from bayeslsh.corpus import (
     JACCARD,
     Corpus,
     SparseVector,
+    exact_similarities,
     generate_synthetic,
-    similarity_matrix,
 )
 from bayeslsh.hashing import SignatureStore, decode_gaussian_2byte, encode_gaussian_2byte
 from bayeslsh.search import (
@@ -225,9 +225,7 @@ def test_criterion_05_recall_all_pipelines(bundles, recall_runs):
 def test_criterion_06_estimate_accuracy(bundles, recall_runs):
     errors = []
     for seed in ACCEPTANCE_SEEDS:
-        sims = bundles(seed).sims
-        for p in recall_runs(seed, "lsh", "bayeslsh"):
-            errors.append(abs(p.estimate - float(sims[p.i, p.j])))
+        errors.extend(bundles(seed).errors(recall_runs(seed, "lsh", "bayeslsh")).tolist())
     frac_bayes = sum(1 for e in errors if e > 0.05) / len(errors)
 
     bundle = bundles(0)
@@ -235,7 +233,7 @@ def test_criterion_06_estimate_accuracy(bundles, recall_runs):
     for t in (0.5, 0.9):
         cfg = SearchConfig("cosine", t, generator="allpairs", verifier="lsh-approx", seed=0)
         out, _ = lsh_approx_run(bundle.corpus, bundle.allpairs(t), cfg, store=bundle.store())
-        errs = [abs(p.estimate - float(bundle.sims[p.i, p.j])) for p in out]
+        errs = bundle.errors(out).tolist()
         frac_approx[t] = sum(1 for e in errs if e > 0.05) / len(errs)
     ok = frac_bayes <= 0.06 and frac_approx[0.5] > frac_approx[0.9]
     _criterion(
@@ -250,12 +248,10 @@ def test_criterion_07_pruning_curve():
     corpus = generate_synthetic(
         500, 5000, [(15, 0.75), (25, 0.45)], seed=21, mode=COSINE_WEIGHTED
     )
-    sims = similarity_matrix(corpus)
-    iu = np.triu_indices(len(corpus), k=1)
-    low_frac = float(np.mean(sims[iu] < 0.3))
+    pairs = bruteforce_generate(len(corpus))
+    low_frac = float(np.mean(exact_similarities(corpus, np.asarray(pairs)) < 0.3))
     assert low_frac >= 0.95, "candidate set must be dominated by low-similarity pairs"
 
-    pairs = bruteforce_generate(len(corpus))
     cfg = SearchConfig("cosine", 0.7, generator="bruteforce", seed=21)
     _, stats = bayeslsh_run(corpus, pairs, cfg)
     total = len(pairs)
@@ -285,7 +281,7 @@ def test_criterion_08_parameter_sweeps(bundles):
             )
             out, _ = bayeslsh_run(bundle.corpus, cands, cfg, store=store)
             emitted = {(p.i, p.j) for p in out}
-            errs = [abs(p.estimate - float(bundle.sims[p.i, p.j])) for p in out]
+            errs = bundle.errors(out).tolist()
             cache[key] = {
                 "fn": len(truth - emitted) / len(truth),
                 "frac05": sum(1 for e in errs if e > 0.05) / len(errs),

@@ -19,8 +19,8 @@ from bayeslsh.corpus import (
     JACCARD,
     Corpus,
     SparseVector,
+    exact_similarities,
     generate_synthetic,
-    similarity_matrix,
 )
 from bayeslsh.errors import GuardError, UnsupportedMeasure
 from bayeslsh.hashing import SignatureStore
@@ -29,6 +29,12 @@ from oracles import allpairs_loop
 
 def _pair_set(pairs: np.ndarray) -> set[tuple[int, int]]:
     return {(int(i), int(j)) for i, j in pairs}
+
+
+def _all_sims(corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair i < j of `corpus` and its exact similarity."""
+    every = np.asarray(bruteforce_generate(len(corpus)))
+    return every, exact_similarities(corpus, every)
 
 
 def _assert_canonical(pairs: np.ndarray):
@@ -88,14 +94,13 @@ class TestBanding:
 
     def test_dissimilar_corpus_near_empty(self):
         corpus = generate_synthetic(60, 3000, [], seed=9, mode=JACCARD)
-        sims = similarity_matrix(corpus)
-        iu = np.triu_indices(60, k=1)
-        assert float(sims[iu].max()) < 0.1
+        every, sims = _all_sims(corpus)
+        assert float(sims.max()) < 0.1
         params = BandingParams.for_threshold(0.03, 0.9, 4)
         store = SignatureStore(corpus, seed=9, max_hashes=128)
         store.extend(params.hashes_needed)
         pairs = lsh_banding_generate(store, params)
-        assert len(pairs) <= 0.01 * len(iu[0])
+        assert len(pairs) <= 0.01 * len(every)
 
     def test_insufficient_hashes_names_requirement(self):
         store = self._jaccard_pair_store(0)
@@ -329,14 +334,8 @@ class TestAllpairs:
     def test_tiny_threshold_yields_all_overlapping_pairs(self):
         corpus = generate_synthetic(40, 300, [(5, 0.7)], seed=2, mode=COSINE_WEIGHTED)
         got = _pair_set(allpairs_generate(corpus, 1e-9))
-        sims = similarity_matrix(corpus)
-        overlapping = {
-            (i, j)
-            for i in range(len(corpus))
-            for j in range(i + 1, len(corpus))
-            if sims[i, j] > 0.0
-        }
-        assert got == overlapping
+        every, sims = _all_sims(corpus)
+        assert got == _pair_set(every[sims > 0.0])
 
     def test_no_false_negatives_at_threshold(self):
         corpus = generate_synthetic(
@@ -345,12 +344,9 @@ class TestAllpairs:
         t = 0.7
         cands = allpairs_generate(corpus, t)
         _assert_canonical(cands)
-        sims = similarity_matrix(corpus)
-        iu = np.triu_indices(len(corpus), k=1)
-        above = sims[iu] >= t
-        truth = set(zip(iu[0][above].tolist(), iu[1][above].tolist()))
-        assert truth <= _pair_set(cands)
-        assert len(cands) <= len(iu[0])
+        every, sims = _all_sims(corpus)
+        assert _pair_set(every[sims >= t]) <= _pair_set(cands)
+        assert len(cands) <= len(every)
 
     def test_higher_threshold_prunes_more(self):
         corpus = generate_synthetic(200, 2000, [(20, 0.8)], seed=3, mode=COSINE_WEIGHTED)

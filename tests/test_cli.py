@@ -10,10 +10,11 @@ import time
 import numpy as np
 import pytest
 
+from bayeslsh import cli
 from bayeslsh import corpus as corpus_mod
-from bayeslsh.cli import _config_from_args, build_parser, main
+from bayeslsh.cli import _config_from_args, build_parser, evaluate_run, main
 from bayeslsh.corpus import MODES, measure_for_mode, tfidf_weight
-from bayeslsh.search import SearchConfig
+from bayeslsh.search import SearchConfig, run_search
 
 
 def _run(capsys, argv):
@@ -309,6 +310,48 @@ class TestEvalRoundTrip:
         assert code == 3
         assert f"line {row + 1}: estimate 'abc' is not a number" in err
 
+    def test_check_eval_refuses_a_row_pairing_an_id_with_itself(self, capsys, cosine_file,
+                                                               tmp_path):
+        results, report = self._search_with_eval(capsys, cosine_file, tmp_path)
+        lines = results.read_text().splitlines()
+        row = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        parts = lines[row].split("\t")
+        parts[1] = parts[0]
+        lines[row] = "\t".join(parts)
+        results.write_text("\n".join(lines) + "\n")
+        code, _, err = _run(
+            capsys,
+            ["check-eval", str(results), str(cosine_file),
+             "--mode", "cosine-weighted", "--report", str(report)],
+        )
+        assert code == 3
+        assert f"line {row + 1}: id {parts[0]!r} is paired with itself" in err
+
+    def test_scores_each_emitted_row_like_a_loop_over_the_edges(self):
+        corpus = corpus_mod.generate_synthetic(30, 300, [(4, 0.8)], seed=4)
+        sims = corpus_mod.exact_similarities(corpus, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        # the four planted pairs are the truth; a duplicated row, reversed rows,
+        # and errors of 0, NaN, above 1 and at three edges ((2, 15) and (6, 16)
+        # have similarity 0)
+        emitted = [(0, 1, sims[0]), (0, 1, sims[0]), (3, 2, sims[1] + 0.02), (4, 5, np.nan),
+                   (6, 7, sims[3] + 2.0), (15, 2, 0.01), (2, 15, 0.05), (6, 16, 0.1),
+                   (9, 20, 0.5)]
+        errors = [abs(est - corpus_mod.exact_similarity(corpus, i, j)) for i, j, est in emitted]
+        histogram = dict.fromkeys(("<=0.01", "<=0.02", "<=0.05", "<=0.1", "<=1"), 0)
+        for err in errors:
+            for edge, key in zip(cli._HIST_EDGES, histogram):
+                if err <= edge:
+                    histogram[key] += 1
+                    break
+        got = cli._score(corpus, 0.7, emitted)
+        assert np.isnan(got.pop("mean_abs_error")) and np.isnan(np.mean(errors))
+        assert got == {
+            "truth_pairs": 4, "emitted": 8, "true_positives": 3, "false_negatives": 1,
+            "recall": 0.75, "frac_error_above_005": sum(e > 0.05 for e in errors) / len(errors),
+            "error_histogram": histogram,
+        }
+        assert histogram["<=0.01"] == 3 and histogram["<=0.05"] >= 1 and histogram["<=0.1"] >= 1
+
     @pytest.mark.parametrize("text", ["not json", "{}", "[1]", '{"threshold": "0.6"}'],
                              ids=["not-json", "empty-object", "list", "string-threshold"])
     def test_check_eval_refuses_a_malformed_report(self, capsys, cosine_file, tmp_path, text):
@@ -346,6 +389,91 @@ class TestEvalRoundTrip:
         assert json.loads(out)["threshold"] == 0.6
 
 
+# the `search --eval` report of each run at seed 0 on the seed-0 acceptance
+# corpus of its mode, every field but the timings: (candidates,
+# exact_computed, hash_evals, truth_pairs, emitted, true_positives,
+# false_negatives), (recall, mean_abs_error, frac_error_above_005), the
+# error histogram's five buckets, and the survivor counts as the batch
+# boundaries where they change plus the last boundary
+_PINNED_EVAL = {
+    ("cosine-weighted", "lsh", "bayeslsh", 0.7): (
+        (261193, 0, 994944, 300, 295, 295, 5),
+        (0.9833333333333333, 0.018308329855354757, 0.020338983050847456),
+        (90, 86, 113, 6, 0),
+        ((32, 42924), (64, 5002), (96, 875), (128, 378), (160, 347), (192, 341), (224, 335),
+         (256, 331), (288, 326), (320, 324), (352, 319), (384, 315), (416, 312), (448, 309),
+         (480, 306), (512, 304), (544, 300), (576, 299), (704, 297), (800, 296), (1088, 295)),
+        4096,
+    ),
+    ("cosine-weighted", "lsh", "lsh-approx", 0.5): (
+        (596054, 0, 4096000, 450, 443, 443, 7),
+        (0.9844444444444445, 0.01298180015662542, 0.004514672686230248),
+        (233, 104, 104, 2, 0),
+        ((2048, 443),),
+        2048,
+    ),
+    ("cosine-weighted", "allpairs", "bayeslsh-lite", 0.7): (
+        (345961, 380, 248320, 300, 300, 300, 0),
+        (1.0, 0.0, 0.0),
+        (300, 0, 0, 0, 0),
+        ((32, 40375), (64, 3252), (96, 596), (128, 380)),
+        128,
+    ),
+    ("cosine-binary", "lsh", "bayeslsh", 0.7): (
+        (263439, 0, 982272, 300, 289, 289, 11),
+        (0.9633333333333334, 0.01691720397676794, 0.020761245674740483),
+        (103, 90, 90, 6, 0),
+        ((32, 43270), (64, 5314), (96, 876), (128, 387), (160, 346), (192, 337), (224, 330),
+         (256, 327), (288, 322), (320, 314), (352, 311), (384, 310), (416, 302), (448, 300),
+         (512, 299), (544, 295), (576, 294), (640, 293), (672, 290), (992, 289)),
+        4096,
+    ),
+    ("cosine-binary", "allpairs", "exact", 0.9): (
+        (183011, 183011, 0, 150, 150, 150, 0), (1.0, 0.0, 0.0), (150, 0, 0, 0, 0), (), 0,
+    ),
+    ("jaccard", "lsh", "bayeslsh", 0.7): (
+        (402, 402, 218760, 300, 298, 298, 2),
+        (0.9933333333333333, 0.01736565912453553, 0.013422818791946308),
+        (99, 89, 106, 4, 0),
+        ((32, 379), (64, 343), (96, 313), (128, 304), (160, 301), (192, 300), (224, 299),
+         (256, 298)),
+        512,
+    ),
+    ("jaccard", "lsh", "lsh-approx", 0.5): (
+        (448, 0, 565440, 450, 446, 446, 4),
+        (0.9911111111111112, 0.016449974204010533, 0.02242152466367713),
+        (178, 129, 129, 10, 0),
+        ((360, 446),),
+        360,
+    ),
+    ("jaccard", "bruteforce", "exact", 0.7): (
+        (1999000, 1999000, 0, 300, 300, 300, 0), (1.0, 0.0, 0.0), (300, 0, 0, 0, 0), (), 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode, generator, verifier, t", list(_PINNED_EVAL))
+def test_eval_report_is_pinned(bundles, mode, generator, verifier, t):
+    counts, rates, histogram, changes, last = _PINNED_EVAL[mode, generator, verifier, t]
+    step, levels = (changes[0][0] if changes else 1), dict(changes)
+    survivors, alive = {}, None
+    for n in range(step, last + 1, step):
+        alive = levels.get(n, alive)
+        survivors[str(n)] = alive
+    corpus = bundles(0, mode).corpus
+    cfg = SearchConfig(measure_for_mode(mode), t, generator=generator, verifier=verifier, seed=0)
+    report = dataclasses.asdict(evaluate_run(corpus, run_search(corpus, cfg), 0.0))
+    del report["timings"], report["load_seconds"]
+    assert report == {
+        "measure": cfg.measure, "threshold": t, "seed": 0,
+        **dict(zip(("candidates", "exact_computed", "hash_evals", "truth_pairs", "emitted",
+                    "true_positives", "false_negatives"), counts)),
+        **dict(zip(("recall", "mean_abs_error", "frac_error_above_005"), rates)),
+        "error_histogram": dict(zip(("<=0.01", "<=0.02", "<=0.05", "<=0.1", "<=1"), histogram)),
+        "survivors": survivors,
+    }
+
+
 class TestRequiredHashes:
     def test_default_curve(self, capsys):
         code, out, _ = _run(capsys, ["required-hashes"])
@@ -367,10 +495,18 @@ class TestRequiredHashes:
         assert code == 0
         assert out.splitlines()[-1] == "0.5\t352"
 
-    def test_out_of_range_similarity(self, capsys):
-        code, _, err = _run(capsys, ["required-hashes", "-s", "1.5"])
+    @pytest.mark.parametrize("similarities", [["1.5"], ["0.5", "1.5"], ["nan"]])
+    def test_out_of_range_similarity(self, capsys, similarities):
+        code, out, err = _run(capsys, ["required-hashes", "-s", *similarities])
         assert code == 2
         assert "outside" in err
+        assert out == ""
+
+    def test_grid_below_one_is_usage_error(self, capsys):
+        code, out, err = _run(capsys, ["required-hashes", "-s", "0.5", "--grid", "0"])
+        assert code == 2
+        assert "grid must be >= 1" in err
+        assert out == ""
 
     @pytest.mark.parametrize("option, value", [
         ("--gamma", "1.5"), ("--gamma", "0"), ("--gamma", "nan"),
@@ -380,13 +516,14 @@ class TestRequiredHashes:
         code, out, err = _run(capsys, ["required-hashes", "-s", "0.5", option, value])
         assert code == 2
         assert f"{option[2:]} must be in (0, 1)" in err
-        assert "0.5\t" not in out
+        assert out == ""
 
     def test_no_concentrating_count_below_the_cap_is_numeric_failure(self, capsys):
-        code, _, err = _run(capsys, ["required-hashes", "-s", "0.5", "--delta", "1e-5",
+        code, out, err = _run(capsys, ["required-hashes", "-s", "0.5", "--delta", "1e-5",
                                      "--gamma", "1e-6"])
         assert code == 4
         assert "numeric failure: no hash count below 1048576 concentrates s=0.5" in err
+        assert out == ""
 
 
 class TestPriorDemo:

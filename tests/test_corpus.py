@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bayeslsh import corpus as corpus_mod
+from bayeslsh.candidates import bruteforce_generate
 from bayeslsh.corpus import (
     COSINE_BINARY,
     COSINE_WEIGHTED,
@@ -15,12 +16,12 @@ from bayeslsh.corpus import (
     MODES,
     Corpus,
     SparseVector,
+    exact_above,
     exact_similarities,
     exact_similarity,
     generate_synthetic,
     load_corpus,
     serialize_corpus,
-    similarity_matrix,
     tfidf_weight,
 )
 from bayeslsh.errors import ParseError
@@ -257,12 +258,11 @@ class TestExactSimilarity:
             jaccard_exact(vec((1, 2.0)), vec(1))
 
     @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
-    def test_matrix_matches_dense_oracle(self, mode):
-        planted = [(5, 0.7)] if mode == COSINE_WEIGHTED else [(5, 0.7)]
-        c = generate_synthetic(40, 200, planted, seed=3, mode=mode)
-        np.testing.assert_allclose(
-            similarity_matrix(c), dense_similarity(c), atol=1e-12
-        )
+    def test_exact_above_matches_dense_oracle(self, mode):
+        c = generate_synthetic(40, 200, [(5, 0.7)], seed=3, mode=mode)
+        pairs, sims = exact_above(c, bruteforce_generate(len(c)), -1.0)
+        np.testing.assert_array_equal(pairs, np.column_stack(np.triu_indices(len(c), 1)))
+        np.testing.assert_allclose(sims, dense_similarity(c)[tuple(pairs.T)], atol=1e-12)
 
 
 
@@ -353,6 +353,24 @@ class TestExactSimilarities:
         c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
         for i, j in [(0, 1), (3, 17), (17, 3), (5, 5)]:
             assert exact_similarity(c, i, j) == exact_similarities(c, [[i, j]])[0]
+
+    # chunks of 7 pairs end mid-row; 4096 pairs are one chunk
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("mode", [COSINE_WEIGHTED, JACCARD])
+    def test_exact_above_keeps_the_rows_strictly_above_in_order(self, mode, chunk,
+                                                                 monkeypatch):
+        monkeypatch.setattr(corpus_mod, "_ABOVE_CHUNK", chunk)
+        c = generate_synthetic(40, 300, [(5, 0.7)], seed=3, mode=mode)
+        every = np.column_stack(np.triu_indices(len(c), 1))
+        shuffled = every[np.random.default_rng(1).permutation(len(every))]
+        for pairs in (bruteforce_generate(len(c)), every, shuffled, shuffled.tolist()):
+            sims = exact_similarities(c, np.asarray(pairs))
+            for t in (0.0, 0.3, float(sims.max())):
+                got_pairs, got = exact_above(c, pairs, t)
+                np.testing.assert_array_equal(got_pairs, np.asarray(pairs)[sims > t])
+                np.testing.assert_array_equal(got, sims[sims > t])
+        none = exact_above(c, np.zeros((0, 2), dtype=np.int64), 0.5)
+        assert none[0].shape == (0, 2) and none[1].shape == (0,)
 
     def test_csr_wraps_the_flat_layout(self):
         c = generate_synthetic(40, 300, [(5, 0.7)], seed=3)

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from conftest import CorpusBundle
 
-from bayeslsh import inference, search
-from bayeslsh.candidates import bruteforce_generate
+from bayeslsh import cli, inference, search
+from bayeslsh.candidates import BruteforcePairs, bruteforce_generate
 from bayeslsh.corpus import (
     COSINE_WEIGHTED,
     JACCARD,
@@ -23,6 +23,7 @@ from bayeslsh.corpus import (
     exact_similarity,
     generate_synthetic,
     load_corpus,
+    measure_for_mode,
 )
 from bayeslsh.errors import UnsupportedMeasure
 from bayeslsh.hashing import SignatureStore
@@ -453,7 +454,7 @@ class TestRunners:
         out, _ = exact_run(small_cosine.corpus, pairs, cfg)
         assert {(p.i, p.j) for p in out} == small_cosine.truth(0.6)
         for p in out:
-            assert p.estimate == pytest.approx(small_cosine.sims[p.i, p.j], abs=1e-12)
+            assert p.estimate == pytest.approx(small_cosine.sims([(p.i, p.j)])[0], abs=1e-12)
 
     def test_lsh_approx_recomputes_ml_estimates(self, small_cosine):
         pairs = small_cosine.allpairs(0.5)
@@ -728,6 +729,54 @@ class TestRunSearch:
         n = len(small_cosine.corpus)
         assert len(generate_candidates(small_cosine.corpus, cfg)) == n * (n - 1) // 2
 
+    @pytest.mark.parametrize("mode, text, generator, want", [
+        # minhash refuses the empty set c, and an empty file has no dimension to hash
+        (JACCARD, "a\t1 2\nb\t2 3\nc\t\n", "bruteforce", [(0, 1, 1 / 3)]),
+        (COSINE_WEIGHTED, "", "bruteforce", []),
+        (COSINE_WEIGHTED, "", "allpairs", []),
+    ])
+    def test_a_search_that_never_hashes_builds_no_store(self, tmp_path, mode, text,
+                                                          generator, want):
+        path = tmp_path / "c.tsv"
+        path.write_text(text)
+        corpus = load_corpus(path, mode)
+        cfg = SearchConfig(measure_for_mode(mode), 0.3,
+                           generator=generator, verifier="exact")
+        result = run_search(corpus, cfg)
+        assert [(p.i, p.j, p.estimate) for p in result.pairs] == want
+        assert result.stats.hash_evals == 0
+        assert result.stats.timings["signatures"] == 0.0
+
+    def test_exact_run_never_materialises_a_bruteforce_list(self, bundles, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the whole brute-force list was built")
+
+        monkeypatch.setattr(BruteforcePairs, "__array__", refuse)
+        bundle = bundles(0)
+        out, stats = exact_run(bundle.corpus, bruteforce_generate(2000),
+                               SearchConfig("cosine", 0.7, verifier="exact"))
+        assert stats.exact_computed == 1_999_000
+        assert {(p.i, p.j) for p in out} == bundle.truth(0.7)
+
+    def test_exact_verification_and_eval_scoring_allocate_one_chunk(self, bundles,
+                                                                     monkeypatch):
+        # the 1,999,000 pairs take 30.5 MiB as one (M, 2) array, and the
+        # 2,000 x 2,000 similarity matrix as much; a 2^14-pair chunk is 0.25 MiB
+        monkeypatch.setattr(search.corpus_mod, "_ABOVE_CHUNK", 1 << 14)
+        corpus = bundles(0).corpus
+        cfg = SearchConfig("cosine", 0.7, verifier="exact")
+        out, _ = exact_run(corpus, bruteforce_generate(2000), cfg)
+        emitted = [(p.i, p.j, p.estimate) for p in out]
+        for run in (lambda: exact_run(corpus, bruteforce_generate(2000), cfg),
+                    lambda: cli._score(corpus, 0.7, emitted)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 2**20
+
 
 def test_jaccard_search_resident_growth_with_scipy_sparse():
     # exact similarity is a scipy.sparse product, so a jaccard search imports
@@ -829,8 +878,8 @@ _PINNED_TSV_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def jaccard_acceptance() -> CorpusBundle:
-    return CorpusBundle(0, mode=JACCARD)
+def jaccard_acceptance(bundles) -> CorpusBundle:
+    return bundles(0, JACCARD)
 
 
 @pytest.mark.parametrize("measure, generator, verifier", list(_PINNED_TSV_SHA256))
