@@ -54,7 +54,7 @@ from .inference import (
     required_hashes,
 )
 from .search import (
-    OutputPair,
+    PAIR_DTYPE,
     SearchConfig,
     SearchResult,
     bayeslsh_lite_run,

@@ -66,8 +66,8 @@ class EvalReport:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
 
-def _score(corpus: Corpus, threshold: float, emitted: list[tuple[int, int, float]]) -> dict:
-    """EvalReport's quality fields for emitted (i, j, estimate) rows against exact truth.
+def _score(corpus: Corpus, threshold: float, rows: np.ndarray, estimates: np.ndarray) -> dict:
+    """EvalReport's quality fields for the emitted (M, 2) `rows` and their `estimates`.
 
     Quadratic time; truth is scored a chunk of pairs at a time, so memory is
     bounded by one chunk. Errors cover every emitted row; exact pairs
@@ -75,10 +75,8 @@ def _score(corpus: Corpus, threshold: float, emitted: list[tuple[int, int, float
     """
     n = len(corpus)
     truth, _ = corpus_mod.exact_above(corpus, bruteforce_generate(n), threshold)
-    rows = np.array([(i, j) for i, j, _ in emitted], dtype=np.int64).reshape(-1, 2)
     keys = np.unique(rows[:, 0] * n + rows[:, 1])
     tp = int(np.count_nonzero(np.isin(keys, truth[:, 0] * n + truth[:, 1])))
-    estimates = np.array([est for _, _, est in emitted], dtype=np.float64)
     errors = np.abs(estimates - corpus_mod.exact_similarities(corpus, rows))
     # an error e lands in the first bucket whose edge is >= e; NaN and e > 1 in none
     buckets = np.bincount(np.searchsorted(_HIST_EDGES, errors), minlength=len(_HIST_EDGES))
@@ -97,7 +95,7 @@ def _score(corpus: Corpus, threshold: float, emitted: list[tuple[int, int, float
 def evaluate_run(corpus: Corpus, result: search.SearchResult,
                  load_seconds: float) -> EvalReport:
     """Score a run against exact all-pairs ground truth; `load_seconds` is the corpus read time."""
-    cfg = result.config
+    cfg, pairs = result.config, result.pairs
     return EvalReport(
         measure=cfg.measure,
         threshold=cfg.threshold,
@@ -105,7 +103,7 @@ def evaluate_run(corpus: Corpus, result: search.SearchResult,
         candidates=result.stats.candidates,
         exact_computed=result.stats.exact_computed,
         hash_evals=result.stats.hash_evals,
-        **_score(corpus, cfg.threshold, [(p.i, p.j, p.estimate) for p in result.pairs]),
+        **_score(corpus, cfg.threshold, np.column_stack([pairs.i, pairs.j]), pairs.estimate),
         survivors={str(k): v for k, v in result.stats.survivors.items()},
         timings={k: round(v, 6) for k, v in result.stats.timings.items()},
         load_seconds=round(load_seconds, 6),
@@ -290,11 +288,12 @@ def _cmd_check_eval(args) -> int:
     rows = _read_results_tsv(args.results)
     index = {vid: k for k, vid in enumerate(corpus.ids)}
     try:
-        emitted = [(index[a], index[b], est) for a, b, est in rows]
+        pairs = np.array([(index[a], index[b]) for a, b, _ in rows], dtype=np.int64)
     except KeyError as exc:
         raise ParseError(f"result id {exc.args[0]!r} not present in corpus") from exc
+    estimates = np.array([est for _, _, est in rows], dtype=np.float64)
 
-    recomputed = _score(corpus, report["threshold"], emitted)
+    recomputed = _score(corpus, report["threshold"], pairs.reshape(-1, 2), estimates)
     mismatches = []
     for key, value in recomputed.items():
         got = report.get(key)

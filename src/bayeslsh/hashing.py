@@ -230,7 +230,7 @@ class SignatureStore:
             # plane components of the features a block extension gathers;
             # grown to the most features gathered so far, used under _lock
             self._planes = np.empty(0)
-            self.family = CosineHashFamily(seed, corpus.dim)
+            self.family = CosineHashFamily(seed, max(1, corpus.dim))
         else:
             self._ints = np.zeros((n_objects, self.max_hashes), dtype=np.uint32)
             self.family = MinhashFamily(seed, max(1, corpus.dim))
@@ -265,13 +265,11 @@ class SignatureStore:
             cosine = self.measure == "cosine"
             hi = -(-target // _BLOCK) * _BLOCK if cosine else target
             short = rows[self.row_hashes[rows] < hi]
-            if len(short) == 0:
-                return
             t0 = time.perf_counter()
             held = self.row_hashes[short]
             # each step hashes [lo, end) for every row that holds at most lo
             if cosine:
-                bounds = list(range(int(held.min()), hi + 1, _BLOCK))
+                bounds = list(range(int(held.min(initial=hi)), hi + 1, _BLOCK))
             else:
                 bounds = np.unique(np.append(held, hi)).tolist()
             for lo, end in zip(bounds[:-1], bounds[1:]):
@@ -282,7 +280,9 @@ class SignatureStore:
                     self._extend_jaccard(lo, end, need)
                 self.row_hashes[need] = end
                 self.hash_evals += len(need) * (end - lo)
-            self.hashes_available = int(self.row_hashes.min(initial=hi))
+            # another thread may have extended past hi while this one waited
+            self.hashes_available = max(self.hashes_available,
+                                        int(self.row_hashes.min(initial=hi)))
             self.extend_seconds += time.perf_counter() - t0
 
     def _extend_cosine(self, b: int, rows: np.ndarray) -> None:

@@ -13,8 +13,8 @@ Verification strategies over a candidate list:
 All but ``exact`` run through one core, `BayesVerifier`: it steps every
 live candidate of a chunk through the batch boundaries together, in one
 thread. ``lsh-approx`` is that core with a single batch of the fixed hash
-count, decided by `inference.MaxLikelihoodPosterior`. Output is sorted by
-index pair.
+count, decided by `inference.MaxLikelihoodPosterior`. Output is one
+`np.recarray` of `PAIR_DTYPE` rows sorted by index pair.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ _PRIOR_SAMPLE_CAP = 10_000
 
 # candidate pairs verified together; bounds the per-batch working arrays
 _CHUNK = 1 << 16
+
+# one emitted pair per row: indices i < j plus the similarity estimate
+PAIR_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("estimate", np.float64),
+                       ("exact", bool), ("low_confidence", bool)])
 
 
 @dataclass
@@ -109,17 +113,6 @@ class SearchConfig:
             raise ValueError("parallel must be >= 1")
 
 
-@dataclass(frozen=True)
-class OutputPair:
-    """One emitted pair: indices i < j plus the similarity estimate."""
-
-    i: int
-    j: int
-    estimate: float
-    exact: bool
-    low_confidence: bool = False
-
-
 @dataclass
 class SearchStats:
     candidates: int = 0
@@ -182,6 +175,9 @@ class BayesVerifier:
             posterior, config.threshold, config.epsilon, self.batch, self.budget
         )
         self.cache = inference.ConcentrationCache(posterior, config.delta, config.gamma)
+        # a row with no entries hashes to all ones yet has similarity 0 to every row
+        empty = np.diff(store._corpus.flat()[0]) == 0
+        self.empty = empty if empty.any() else None
 
     def _lookup(self, m: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(concentrated?, estimate) for each count, one lookup per distinct m."""
@@ -198,7 +194,8 @@ class BayesVerifier:
         is pruned, so when the store's `match_index` over [0, k) exists
         (the collisions number no more than the pairs) only its pairs are
         looked for in a brute-force enumeration, by arithmetic. Any other
-        list is counted a chunk at a time.
+        list is counted a chunk at a time, and a pair touching an empty row
+        (cosine only: minhash refuses the empty set) is pruned whatever it counts.
         """
         k, total = self.batch, len(pairs)
         floor = self.table[k]
@@ -209,8 +206,11 @@ class BayesVerifier:
                 return pairs.positions(index.keys[sel]), index.counts[sel]
         kept, kept_m = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for lo in range(0, total, _CHUNK):
-            c = self.store.count_matches_bulk(pairs[lo : lo + _CHUNK], 0, k)
+            part = pairs[lo : lo + _CHUNK]
+            c = self.store.count_matches_bulk(part, 0, k)
             at = np.flatnonzero(c >= floor)
+            if self.empty is not None:
+                at = at[~self.empty[part[at]].any(axis=1)]
             kept.append(at + lo)
             kept_m.append(c[at])
         return np.concatenate(kept), np.concatenate(kept_m)
@@ -305,8 +305,8 @@ def _survivor_counts(pruned, total: int, k: int) -> dict[int, int]:
 
 
 def _emit(corpus: Corpus, pairs, config: SearchConfig,
-          estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> list:
-    """Output pairs for the kept candidate `pairs`, sorted by index pair.
+          estimate: np.ndarray | None, low_confidence: np.ndarray | None = None) -> np.recarray:
+    """`PAIR_DTYPE` rows for the kept candidate `pairs`, sorted by index pair.
 
     `estimate` and `low_confidence` hold one entry per kept pair. With no
     `estimate`, the pairs (an array or a `BruteforcePairs`) are verified
@@ -314,15 +314,13 @@ def _emit(corpus: Corpus, pairs, config: SearchConfig,
     """
     exact = estimate is None
     if exact:
-        pairs, values = corpus_mod.exact_above(corpus, pairs, config.threshold)
-    else:
-        values = estimate
-    low = np.zeros(len(pairs), dtype=bool) if low_confidence is None else low_confidence
-    out = [
-        OutputPair(i, j, e, exact, lo)
-        for (i, j), e, lo in zip(pairs.tolist(), values.tolist(), low.tolist())
-    ]
-    out.sort(key=lambda o: (o.i, o.j))
+        pairs, estimate = corpus_mod.exact_above(corpus, pairs, config.threshold)
+    order = np.argsort(pairs[:, 0] * len(corpus) + pairs[:, 1], kind="stable")
+    out = np.recarray(len(pairs), dtype=PAIR_DTYPE)
+    out.i, out.j = pairs[order].T
+    out.estimate = estimate[order]
+    out.exact = exact
+    out.low_confidence = False if low_confidence is None else low_confidence[order]
     return out
 
 
@@ -377,7 +375,7 @@ def bayeslsh_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-) -> tuple[list[OutputPair], SearchStats]:
+) -> tuple[np.recarray, SearchStats]:
     """Verify candidates with posterior pruning and early-stopped estimates."""
     return _verify_run(corpus, pairs, config, store, config.max_hashes, False)
 
@@ -387,7 +385,7 @@ def bayeslsh_lite_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-) -> tuple[list[OutputPair], SearchStats]:
+) -> tuple[np.recarray, SearchStats]:
     """Prune on a fixed hash budget, then verify survivors exactly.
 
     A zero budget skips hashing entirely and verifies every candidate.
@@ -402,7 +400,7 @@ def lsh_approx_run(
     pairs: np.ndarray,
     config: SearchConfig,
     store: SignatureStore | None = None,
-) -> tuple[list[OutputPair], SearchStats]:
+) -> tuple[np.recarray, SearchStats]:
     """Maximum-likelihood estimates from one batch of `fixed_hashes`; keep those reaching t."""
     posterior = inference.MaxLikelihoodPosterior(config.measure)
     return _verify_run(corpus, pairs, config, store, config.fixed_hashes, False, posterior)
@@ -412,7 +410,7 @@ def exact_run(
     corpus: Corpus,
     pairs: np.ndarray,
     config: SearchConfig,
-) -> tuple[list[OutputPair], SearchStats]:
+) -> tuple[np.recarray, SearchStats]:
     """Exact similarity for every candidate; emit strictly above threshold."""
     return _verify_run(corpus, pairs, config, None, 0, True)
 
@@ -440,7 +438,9 @@ def generate_candidates(
 
 @dataclass
 class SearchResult:
-    pairs: list[OutputPair]
+    """Emitted `PAIR_DTYPE` rows sorted by (i, j), the run's counts and its config."""
+
+    pairs: np.recarray
     stats: SearchStats
     config: SearchConfig
 
@@ -502,9 +502,9 @@ def results_to_tsv(corpus: Corpus, result: SearchResult) -> str:
         f"# seed\t{cfg.seed}",
         "# id_i\tid_j\testimate\texact\tlow_confidence",
     ]
-    for pair in result.pairs:
-        lines.append(
-            f"{corpus.ids[pair.i]}\t{corpus.ids[pair.j]}\t{pair.estimate:.10g}"
-            f"\t{int(pair.exact)}\t{int(pair.low_confidence)}"
-        )
+    ids, p = np.array(corpus.ids, dtype=object), result.pairs
+    # flags read as uint8 print as 0 and 1
+    lines.extend(map("{}\t{}\t{:.10g}\t{}\t{}".format, ids[p.i].tolist(), ids[p.j].tolist(),
+                     p.estimate.tolist(), p.exact.view(np.uint8).tolist(),
+                     p.low_confidence.view(np.uint8).tolist()))
     return "\n".join(lines) + "\n"

@@ -50,7 +50,7 @@ class CorpusBundle:
         return corpus_mod.exact_similarities(self.corpus, pairs)
 
     def errors(self, out) -> np.ndarray:
-        """|estimate - exact similarity| of each emitted OutputPair."""
+        """|estimate - exact similarity| of each emitted PAIR_DTYPE row."""
         return np.abs([p.estimate for p in out] - self.sims([(p.i, p.j) for p in out]))
 
     def truth(self, threshold: float) -> set[tuple[int, int]]:

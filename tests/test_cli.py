@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from bayeslsh import cli
+from bayeslsh import cli, search
 from bayeslsh import corpus as corpus_mod
 from bayeslsh.cli import _config_from_args, build_parser, evaluate_run, main
 from bayeslsh.corpus import MODES, measure_for_mode, tfidf_weight
@@ -203,6 +203,34 @@ class TestSearch:
         assert "exceeds max_hashes 4096" in err
         assert out == ""
 
+    @pytest.mark.parametrize("mode, text, generator, verifier", [
+        ("jaccard", "", "lsh", "bayeslsh"),
+        *(("cosine-binary", "", "lsh", v) for v in search.VERIFIERS),
+        ("cosine-binary", "", "bruteforce", "bayeslsh"),
+        ("cosine-weighted", "", "bruteforce", "lsh-approx"),
+        *((m, "a\t\nb\t\n", g, "bayeslsh") for m in ("cosine-binary", "cosine-weighted")
+          for g in ("lsh", "bruteforce")),
+    ])
+    def test_empty_corpus_searches_to_a_header_only_tsv(self, capsys, tmp_path, mode, text,
+                                                        generator, verifier):
+        # an empty file, or one whose vectors are all empty, has no dimension to hash
+        path = tmp_path / "empty.tsv"
+        path.write_text(text)
+        code, out, err = _run(capsys, ["search", str(path), "--mode", mode, "-t", "0.5",
+                                       "--generator", generator, "--verifier", verifier])
+        assert code == 0, err
+        lines = out.splitlines()
+        assert all(line.startswith("#") for line in lines)
+        assert lines[-1] == "# id_i\tid_j\testimate\texact\tlow_confidence"
+
+    def test_jaccard_empty_sets_stay_refused_on_a_hashing_path(self, capsys, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_text("a\t\nb\t\n")
+        code, out, err = _run(capsys, ["search", str(path), "--mode", "jaccard", "-t", "0.5"])
+        assert code == 2
+        assert "minhash of an empty set is undefined" in err
+        assert out == ""
+
     def test_unknown_mode_rejected_by_parser(self, cosine_file):
         with pytest.raises(SystemExit) as exc:
             main(["search", str(cosine_file), "--mode", "euclid", "-t", "0.5"])
@@ -343,7 +371,8 @@ class TestEvalRoundTrip:
                 if err <= edge:
                     histogram[key] += 1
                     break
-        got = cli._score(corpus, 0.7, emitted)
+        got = cli._score(corpus, 0.7, np.array([(i, j) for i, j, _ in emitted]),
+                         np.array([est for _, _, est in emitted]))
         assert np.isnan(got.pop("mean_abs_error")) and np.isnan(np.mean(errors))
         assert got == {
             "truth_pairs": 4, "emitted": 8, "true_positives": 3, "false_negatives": 1,

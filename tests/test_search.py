@@ -16,6 +16,7 @@ from conftest import CorpusBundle
 from bayeslsh import cli, inference, search
 from bayeslsh.candidates import BruteforcePairs, bruteforce_generate
 from bayeslsh.corpus import (
+    COSINE_BINARY,
     COSINE_WEIGHTED,
     JACCARD,
     Corpus,
@@ -28,8 +29,8 @@ from bayeslsh.corpus import (
 from bayeslsh.errors import UnsupportedMeasure
 from bayeslsh.hashing import SignatureStore
 from bayeslsh.search import (
+    PAIR_DTYPE,
     BayesVerifier,
-    OutputPair,
     SearchConfig,
     SearchResult,
     SearchStats,
@@ -423,7 +424,8 @@ class TestRunners:
             outs.append(
                 bayeslsh_run(small_cosine.corpus, pairs, cfg, store=small_cosine.store())
             )
-        assert outs[0] == outs[1]
+        np.testing.assert_array_equal(outs[0][0], outs[1][0])
+        assert outs[0][1] == outs[1][1]
 
     def test_lite_emits_exact_similarities_above_threshold(self, small_jaccard):
         pairs = np.array(sorted(small_jaccard.truth(0.0)), dtype=np.int64)[:2000]
@@ -444,9 +446,10 @@ class TestRunners:
         cfg = SearchConfig(
             "cosine", 0.6, lite_hashes=0, seed=small_cosine.seed, verifier="bayeslsh-lite"
         )
-        lite = bayeslsh_lite_run(small_cosine.corpus, pairs, cfg)
-        exact = exact_run(small_cosine.corpus, pairs, cfg)
-        assert lite == exact
+        lite, lite_stats = bayeslsh_lite_run(small_cosine.corpus, pairs, cfg)
+        exact, exact_stats = exact_run(small_cosine.corpus, pairs, cfg)
+        np.testing.assert_array_equal(lite, exact)
+        assert lite_stats == exact_stats
 
     def test_exact_run_equals_truth(self, small_cosine):
         pairs = small_cosine.allpairs(0.6)
@@ -476,7 +479,7 @@ class TestRunners:
         cfg = SearchConfig("jaccard", 0.5, fixed_hashes=256, seed=small_jaccard.seed)
         store = small_jaccard.store(512)
         out, _ = lsh_approx_run(small_jaccard.corpus, pairs, cfg, store=store)
-        assert out
+        assert len(out)
         for p in out:
             m = store.count_matches(p.i, p.j, 0, 256)
             assert p.estimate == inference.ml_estimate(m, 256)
@@ -494,9 +497,24 @@ class TestRunners:
             raise AssertionError("the brute-force list was materialised")
 
         monkeypatch.setattr(type(enumerated), "__array__", refuse)
-        got = lsh_approx_run(bundle.corpus, enumerated, cfg, store=bundle.store())
-        assert got[0]
-        assert got == lsh_approx_run(bundle.corpus, materialised, cfg, store=bundle.store())
+        got, stats = lsh_approx_run(bundle.corpus, enumerated, cfg, store=bundle.store())
+        assert len(got)
+        want, want_stats = lsh_approx_run(bundle.corpus, materialised, cfg, store=bundle.store())
+        np.testing.assert_array_equal(got, want)
+        assert stats == want_stats
+
+    def test_runners_sort_what_they_are_given(self, small_cosine):
+        corpus, pairs = small_cosine.corpus, small_cosine.allpairs(0.5)
+        shuffled = pairs[np.random.default_rng(0).permutation(len(pairs))]
+        cfg = SearchConfig("cosine", 0.5, seed=small_cosine.seed)
+        runners = [lambda p: bayeslsh_run(corpus, p, cfg, store=small_cosine.store()),
+                   lambda p: bayeslsh_lite_run(corpus, p, cfg, store=small_cosine.store()),
+                   lambda p: lsh_approx_run(corpus, p, cfg, store=small_cosine.store()),
+                   lambda p: exact_run(corpus, p, cfg)]
+        for run in runners:
+            want, got = run(pairs)[0], run(shuffled)[0]
+            assert len(want)
+            np.testing.assert_array_equal(got, want)
 
     def test_lsh_approx_keeps_an_estimate_equal_to_the_threshold(self, small_jaccard, monkeypatch):
         # 180 of 360 hashes give the ML estimate 0.5, which reaches t = 0.5
@@ -607,7 +625,7 @@ class TestRunSearch:
         )
         a = run_search(small_cosine.corpus, cfg)
         b = run_search(small_cosine.corpus, cfg)
-        assert a.pairs == b.pairs
+        np.testing.assert_array_equal(a.pairs, b.pairs)
         assert a.stats.candidates == b.stats.candidates
 
     def test_hashing_is_its_own_stage(self, small_cosine, monkeypatch):
@@ -681,7 +699,7 @@ class TestRunSearch:
         assert len(built) == 1 and built[0] is not None
         monkeypatch.setattr(SignatureStore, "match_index", lambda store, lo, hi, limit: None)
         off = run_search(corpus, cfg)
-        assert on.pairs and results_to_tsv(corpus, on) == results_to_tsv(corpus, off)
+        assert len(on.pairs) and results_to_tsv(corpus, on) == results_to_tsv(corpus, off)
         for name in ("candidates", "emitted", "survivors", "hash_evals", "exact_computed", "prior"):
             assert getattr(on.stats, name) == getattr(off.stats, name)
 
@@ -698,7 +716,7 @@ class TestRunSearch:
         monkeypatch.setattr(search.cand_mod, "bruteforce_generate",
                             lambda n: np.asarray(original(n)))
         materialised = run_search(bundle.corpus, cfg)
-        assert enumerated.pairs
+        assert len(enumerated.pairs)
         assert (results_to_tsv(bundle.corpus, enumerated)
                 == results_to_tsv(bundle.corpus, materialised))
         for name in vars(enumerated.stats):
@@ -747,6 +765,28 @@ class TestRunSearch:
         assert result.stats.hash_evals == 0
         assert result.stats.timings["signatures"] == 0.0
 
+    @pytest.mark.parametrize("verifier", search.VERIFIERS)
+    @pytest.mark.parametrize("generator", ["lsh", "bruteforce"])
+    @pytest.mark.parametrize("mode", [COSINE_BINARY, COSINE_WEIGHTED])
+    def test_a_pair_of_empty_vectors_is_never_emitted(self, mode, generator, verifier):
+        # two empty rows share the all-ones signature, but their similarity is 0:
+        # every pair touching them is pruned at the first boundary, and the rest
+        # of the search is as it is without them
+        whole = generate_synthetic(200, 2000, [(20, 0.8)], seed=3, mode=mode)
+        empty = SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0))
+        plain = Corpus(whole.ids, whole.vectors, mode, dim=whole.dim)
+        padded = Corpus(whole.ids + ["e1", "e2"], whole.vectors + [empty, empty], mode,
+                        dim=whole.dim)
+        cfg = SearchConfig("cosine", 0.7, generator=generator, verifier=verifier, seed=3)
+        want, got = run_search(plain, cfg), run_search(padded, cfg)
+        assert len(want.pairs)
+        np.testing.assert_array_equal(got.pairs, want.pairs)
+        touching = got.stats.candidates - want.stats.candidates
+        assert touching >= (1 if generator == "lsh" else 2 * 200 + 1)
+        if verifier != "exact":
+            k = min(got.stats.pruned)
+            assert got.stats.pruned[k] - want.stats.pruned[k] == touching
+
     def test_exact_run_never_materialises_a_bruteforce_list(self, bundles, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the whole brute-force list was built")
@@ -766,9 +806,9 @@ class TestRunSearch:
         corpus = bundles(0).corpus
         cfg = SearchConfig("cosine", 0.7, verifier="exact")
         out, _ = exact_run(corpus, bruteforce_generate(2000), cfg)
-        emitted = [(p.i, p.j, p.estimate) for p in out]
+        rows = np.column_stack([out.i, out.j])
         for run in (lambda: exact_run(corpus, bruteforce_generate(2000), cfg),
-                    lambda: cli._score(corpus, 0.7, emitted)):
+                    lambda: cli._score(corpus, 0.7, rows, out.estimate)):
             tracemalloc.start()
             try:
                 run()
@@ -892,11 +932,28 @@ def test_results_tsv_digest_is_pinned(bundles, jaccard_acceptance, measure, gene
 
 
 class TestResultsToTsv:
+    def test_bulk_format_matches_a_per_row_format_on_edge_values(self):
+        estimates = [0.0, 1.0, 5e-324, 1e-300, 0.1 + 0.2, 1 / 3, 2 / 3, 0.12345678905,
+                     0.99999999995, 0.7]
+        ids = ["a", "b\u00e9\u65e5\u672c", "c"]
+        vectors = [SparseVector([1, 2], [1.0, 1.0]), SparseVector([2], [1.0]),
+                   SparseVector([3], [1.0])]
+        corpus = Corpus(ids, vectors, COSINE_WEIGHTED)
+        rows = [((0, 1), (0, 2), (1, 2))[k % 3] + (est, k % 2 == 0, k % 3 == 0)
+                for k, est in enumerate(estimates)]
+        result = SearchResult(np.rec.array(rows, dtype=PAIR_DTYPE),
+                              SearchStats(candidates=3, emitted=len(rows)),
+                              SearchConfig("cosine", 0.7))
+        lines = results_to_tsv(corpus, result).splitlines()[7:]
+        assert lines == [f"{ids[i]}\t{ids[j]}\t{est:.10g}\t{int(exact)}\t{int(low)}"
+                         for i, j, est, exact, low in rows]
+
     def test_format(self):
         corpus = generate_synthetic(3, 50, [], seed=0, mode=COSINE_WEIGHTED)
         cfg = SearchConfig("cosine", 0.7, seed=9)
         result = SearchResult(
-            [OutputPair(0, 2, 0.75, False), OutputPair(1, 2, 0.875, True, True)],
+            np.rec.array([(0, 2, 0.75, False, False), (1, 2, 0.875, True, True)],
+                         dtype=PAIR_DTYPE),
             SearchStats(candidates=3, emitted=2),
             cfg,
         )
